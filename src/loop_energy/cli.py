@@ -112,6 +112,11 @@ def _cmd_search(args, parser: argparse.ArgumentParser) -> int:
     workers = _workers(parser)
     try:
         if args.family == "thm1":
+            if args.sigma == "all":
+                parser.error(
+                    "--sigma all does not apply to --family thm1: every union "
+                    "carries loops on exactly n of its 2n vertices"
+                )
             # flags give the order of the emitted union; the base graph is half that
             base_min = (args.n_min + 1) // 2
             base_max = args.n_max // 2

@@ -118,6 +118,15 @@ def verify_theorem2(g: Graph, p: int, q: int) -> TheoremVerdict:
     Requires p, q >= 0 and p + q >= 1. Condition: every eigenvalue of g has
     magnitude at least max(p, q)/(p + q).
     """
+    return _union_family_verdict(g, p, q)[1]
+
+
+def _union_family_verdict(g: Graph, p: int, q: int) -> tuple[LoopedGraph, TheoremVerdict]:
+    """Build p plain + q fully-looped copies of g and check the identity on them.
+
+    Two eigensolves: the spectrum of g gives the condition and the right side
+    m * E(g); the union as built gives the left side.
+    """
     if p < 0 or q < 0:
         raise ValueError("copy counts must be nonnegative")
     m = p + q
@@ -127,9 +136,10 @@ def verify_theorem2(g: Graph, p: int, q: int) -> TheoremVerdict:
     threshold = max(p, q) / m
     condition = _check_condition(base.spectrum, threshold)
     parts = [with_loops(g, ()) for _ in range(p)] + [with_all_loops(g) for _ in range(q)]
-    lhs = energy_looped(union_looped(parts)).energy
+    union = union_looped(parts)
+    lhs = energy_looped(union).energy
     rhs = m * base.energy
-    return TheoremVerdict(
+    return union, TheoremVerdict(
         condition_holds=condition.holds,
         lhs_energy=lhs,
         rhs_energy=rhs,

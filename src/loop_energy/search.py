@@ -16,14 +16,12 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Iterator, Sequence
 
-from .energy import energy_looped, energy_simple, theorem1_condition
+from .energy import _union_family_verdict, energy_looped, energy_simple
 from .graph6 import to_graph6
 from .graphs import (
     Graph,
     adjacency_matrix,
     is_connected,
-    union_looped,
-    with_all_loops,
     with_loops,
 )
 from .spectra import eigenvalues
@@ -199,17 +197,17 @@ def find_theorem_family_instances(config: SearchConfig) -> Iterator[SearchRecord
 
     Enumerates base graphs G with n in the config range, builds G union G^l
     with loops on the second copy, and tags each record with whether the
-    |lambda| >= 1/2 condition held for G. Condition-true records must come
-    out EQUAL; anything else is a defect in the energy pipeline.
+    |lambda| >= 1/2 condition held for G. Each record is the verify_theorem1
+    verdict of G: e_simple is 2 E(G) from the spectrum of G, and e_looped is
+    solved from the union as built. Condition-true records must come out
+    EQUAL; anything else is a defect in the energy pipeline.
     """
     for n in range(config.n_min, config.n_max + 1):
         pairs = _pairs(n)
         for mask in _graph_masks(n, config):
-            g = _graph_from_mask(n, mask, pairs)
-            condition = theorem1_condition(g)
-            union = union_looped([with_loops(g, ()), with_all_loops(g)])
-            e_simple = energy_simple(union.base).energy
-            e_looped = energy_looped(union).energy
+            union, verdict = _union_family_verdict(_graph_from_mask(n, mask, pairs), 1, 1)
+            e_simple = verdict.rhs_energy
+            e_looped = verdict.lhs_energy
             label, suspect, gap = _classify(e_simple, e_looped, config.eq_tol)
             yield SearchRecord(
                 graph6=to_graph6(union.base),
@@ -221,7 +219,7 @@ def find_theorem_family_instances(config: SearchConfig) -> Iterator[SearchRecord
                 gap=gap,
                 classification=label,
                 suspect=suspect,
-                condition_met=condition.holds,
+                condition_met=verdict.condition_holds,
             )
 
 

@@ -153,6 +153,15 @@ def test_search_family_finds_example_record(capsys):
     assert fields[8] == "true"
 
 
+def test_search_family_rejects_sigma_all(capsys):
+    code, out, err = run_cli(
+        ["search", "--family", "thm1", "--n-max", "4", "--sigma", "all"], capsys=capsys
+    )
+    assert code == 2
+    assert out == ""
+    assert "--sigma all does not apply to --family thm1" in err
+
+
 def test_search_jsonl_output(capsys):
     code, out, _ = run_cli(
         ["search", "--n-min", "2", "--n-max", "2", "--format", "jsonl"], capsys=capsys

@@ -9,12 +9,16 @@ from loop_energy import (
     SearchConfig,
     SearchRecord,
     complete_graph,
+    disjoint_union,
     energy_gap,
     enumerate_graphs,
     find_theorem_family_instances,
     relabel,
     scan,
+    to_graph6,
+    verify_theorem1,
 )
+from loop_energy import energy
 from loop_energy.search import (
     EQUAL,
     LOOPED_GREATER,
@@ -134,6 +138,31 @@ def test_family_scan_three_path_base():
         assert r.condition_met is False
         assert r.classification == LOOPED_GREATER
         assert abs(r.gap - 1.0) <= 1e-9
+
+
+def test_family_records_are_the_verify_theorem1_verdicts():
+    bases = [g for n in range(1, 5) for g in enumerate_graphs(n)]
+    records = list(find_theorem_family_instances(SearchConfig(n_min=1, n_max=4)))
+    assert len(records) == len(bases)
+    for g, r in zip(bases, records):
+        verdict = verify_theorem1(g)
+        assert r.graph6 == to_graph6(disjoint_union(g, g))
+        assert (r.e_looped, r.e_simple) == (verdict.lhs_energy, verdict.rhs_energy)
+        assert r.condition_met is verdict.condition_holds
+
+
+def test_family_scan_solves_twice_per_record(monkeypatch):
+    calls = []
+    solve = energy.eigenvalues
+
+    def counting(m):
+        calls.append(m.n)
+        return solve(m)
+
+    monkeypatch.setattr(energy, "eigenvalues", counting)
+    records = list(find_theorem_family_instances(SearchConfig(n_min=1, n_max=3)))
+    assert len(calls) == 2 * len(records)
+    assert sorted(calls) == sorted(n for r in records for n in (r.n // 2, r.n))
 
 
 def test_classification_is_relabeling_invariant():
