@@ -18,12 +18,7 @@ from typing import Iterable, Iterator, Sequence, TextIO
 
 from . import search as search_mod
 from .energy import TheoremVerdict, energy_looped, verify_theorem2
-from .graph6 import (
-    Graph6ParseError,
-    LoopFileParseError,
-    read_looped_graphs,
-    write_looped_graphs,
-)
+from .graph6 import LoopFileParseError, read_looped_graphs, write_looped_graphs
 from .graphs import Graph, LoopedGraph, adjacency_matrix, with_loops
 from .search import SearchConfig, fmt10, to_jsonl, to_tsv
 
@@ -59,7 +54,7 @@ def _print_report(lg: LoopedGraph, out: TextIO) -> None:
     print(f"energy {fmt10(report.energy)}", file=out)
 
 
-def _cmd_energy(args) -> int:
+def _cmd_energy(args, parser: argparse.ArgumentParser) -> int:
     for k, lg in enumerate(_parse_entries(args.input)):
         if k:
             print()
@@ -67,7 +62,7 @@ def _cmd_energy(args) -> int:
     return 0
 
 
-def _cmd_spectrum(args) -> int:
+def _cmd_spectrum(args, parser: argparse.ArgumentParser) -> int:
     for lg in _parse_entries(args.input):
         spectrum = energy_looped(lg).spectrum
         print(" ".join(fmt10(v) for v in spectrum))
@@ -88,13 +83,10 @@ def _print_verdict(verdict: TheoremVerdict) -> int:
     return 0 if verdict.gap_within_tolerance() else 1
 
 
-def _cmd_verify(args) -> int:
-    g = _single_simple_graph(args.input)
-    if args.theorem == 1:
-        p, q = 1, 1
-    else:
-        p, q = args.p, args.q
-    return _print_verdict(verify_theorem2(g, p, q))
+def _cmd_verify(args, parser: argparse.ArgumentParser) -> int:
+    if args.p < 0 or args.q < 0 or args.p + args.q < 1:
+        parser.error("need p, q >= 0 and p + q >= 1")
+    return _print_verdict(verify_theorem2(_single_simple_graph(args.input), args.p, args.q))
 
 
 def _workers(parser: argparse.ArgumentParser) -> int:
@@ -110,51 +102,37 @@ def _workers(parser: argparse.ArgumentParser) -> int:
 
 def _cmd_search(args, parser: argparse.ArgumentParser) -> int:
     workers = _workers(parser)
-    try:
-        if args.family == "thm1":
-            if args.sigma == "all":
-                parser.error(
-                    "--sigma all does not apply to --family thm1: every union "
-                    "carries loops on exactly n of its 2n vertices"
-                )
-            # flags give the order of the emitted union; the base graph is half that
-            base_min = (args.n_min + 1) // 2
-            base_max = args.n_max // 2
-            if base_max > search_mod.DEFAULT_MAX_ORDER and not args.force_large:
-                parser.error(
-                    f"family scan with base order {base_max} enumerates "
-                    f"2^C({base_max},2) graphs; pass --force-large to acknowledge"
-                )
-            if base_min > base_max:
-                records: Iterator[search_mod.SearchRecord] = iter(())
-            else:
-                config = SearchConfig(
-                    n_min=base_min,
-                    n_max=base_max,
-                    sigma_policy=args.sigma,
-                    eq_tol=args.eq_tol,
-                    connected_only=args.connected,
-                    dedupe=args.dedupe,
-                )
-                records = search_mod.find_theorem_family_instances(config)
-        else:
-            if args.n_max > search_mod.DEFAULT_MAX_ORDER and not args.force_large:
-                parser.error(
-                    f"scanning to n={args.n_max} visits 2^C(n,2) graphs times 2^n "
-                    f"loop subsets per order (2^28 x 2^8 at n=8); pass --force-large "
-                    f"to acknowledge the runtime"
-                )
+    n_min, n_max = args.n_min, args.n_max
+    if args.family == "thm1":
+        if args.sigma == "all":
+            parser.error(
+                "--sigma all does not apply to --family thm1: every union "
+                "carries loops on exactly n of its 2n vertices"
+            )
+        # flags give the order of the emitted union; the base graph is half that
+        n_min, n_max = (n_min + 1) // 2, n_max // 2
+    if n_max > search_mod.DEFAULT_MAX_ORDER and not args.force_large:
+        parser.error(
+            f"scanning graphs of order {n_max} visits 2^C({n_max},2) graphs "
+            f"(2^28 at order 8); pass --force-large to acknowledge the runtime"
+        )
+    if args.family == "thm1" and n_min > n_max:  # no even union order in range
+        records: Iterator[search_mod.SearchRecord] = iter(())
+    else:
+        try:
             config = SearchConfig(
-                n_min=args.n_min,
-                n_max=args.n_max,
+                n_min=n_min,
+                n_max=n_max,
                 sigma_policy=args.sigma,
                 eq_tol=args.eq_tol,
                 connected_only=args.connected,
-                dedupe=args.dedupe,
             )
+        except ValueError as e:
+            parser.error(str(e))
+        if args.family == "thm1":
+            records = search_mod.find_theorem_family_instances(config)
+        else:
             records = search_mod.scan(config, workers=workers)
-    except ValueError as e:
-        parser.error(str(e))
 
     counts = {label: 0 for label in search_mod.CLASSES}
     suspects = 0
@@ -223,17 +201,16 @@ def _parse_matrix_block(block: Sequence[str]) -> LoopedGraph:
     return with_loops(Graph(n, edges), loops)
 
 
-def _cmd_convert(args) -> int:
-    lines = _read_lines(args.input)
+def _cmd_convert(args, parser: argparse.ArgumentParser) -> int:
     if args.to == "matrix":
-        for k, lg in enumerate(read_looped_graphs(lines)):
+        for k, lg in enumerate(_parse_entries(args.input)):
             if k:
                 print()
             a = adjacency_matrix(lg).data
             for row in a:
                 print(" ".join(str(int(x)) for x in row))
         return 0
-    entries = [_parse_matrix_block(block) for block in _matrix_blocks(lines)]
+    entries = [_parse_matrix_block(block) for block in _matrix_blocks(_read_lines(args.input))]
     for line in write_looped_graphs(entries):
         print(line)
     return 0
@@ -257,21 +234,25 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_energy = sub.add_parser("energy", help="print an energy report per input graph")
     _add_input_argument(p_energy)
+    p_energy.set_defaults(run=_cmd_energy)
 
     p_spectrum = sub.add_parser("spectrum", help="print the eigenvalues per input graph")
     _add_input_argument(p_spectrum)
+    p_spectrum.set_defaults(run=_cmd_spectrum)
 
     p_v1 = sub.add_parser(
         "verify-thm1",
         help="check E(G union looped copy) = 2 E(G) for the base graph on stdin/file",
     )
     _add_input_argument(p_v1)
+    p_v1.set_defaults(run=_cmd_verify, p=1, q=1)
 
     p_v2 = sub.add_parser(
         "verify-thm2",
         help="check E(p plain + q looped copies) = (p+q) E(G)",
     )
     _add_input_argument(p_v2)
+    p_v2.set_defaults(run=_cmd_verify)
     p_v2.add_argument("-p", type=int, required=True, help="plain copies (>= 0)")
     p_v2.add_argument("-q", type=int, required=True, help="fully-looped copies (>= 0)")
 
@@ -287,17 +268,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_search.add_argument("--family", choices=("thm1",),
                           help="restrict to unions of G with its fully-looped copy; "
                                "--n-min/--n-max then bound the union's order")
-    p_search.add_argument("--dedupe", choices=("none", "spectral"), default="none",
-                          help="spectral: skip graphs whose rounded spectrum was seen "
-                               "(may merge cospectral non-isomorphic graphs)")
     p_search.add_argument("--force-large", action="store_true",
                           help="acknowledge the runtime of scans beyond n=5")
+    p_search.set_defaults(run=_cmd_search)
 
     p_convert = sub.add_parser(
         "convert", help="convert between graph6+sidecar and adjacency-matrix text"
     )
     _add_input_argument(p_convert)
     p_convert.add_argument("--to", choices=("matrix", "graph6"), required=True)
+    p_convert.set_defaults(run=_cmd_convert)
 
     return parser
 
@@ -310,31 +290,12 @@ def main(argv: Sequence[str] | None = None) -> int:
         return int(e.code or 0)
 
     try:
-        if args.command == "verify-thm2" and (args.p < 0 or args.q < 0 or args.p + args.q < 1):
-            parser.error("need p, q >= 0 and p + q >= 1")
-        if args.command == "energy":
-            return _cmd_energy(args)
-        if args.command == "spectrum":
-            return _cmd_spectrum(args)
-        if args.command == "verify-thm1":
-            args.theorem = 1
-            return _cmd_verify(args)
-        if args.command == "verify-thm2":
-            args.theorem = 2
-            return _cmd_verify(args)
-        if args.command == "search":
-            return _cmd_search(args, parser)
-        if args.command == "convert":
-            return _cmd_convert(args)
-    except (Graph6ParseError, LoopFileParseError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except OSError as e:
+        return args.run(args, parser)
+    except (ValueError, OSError) as e:  # includes both graph6 parse errors
         print(f"error: {e}", file=sys.stderr)
         return 2
     except SystemExit as e:  # parser.error inside a command
         return int(e.code or 0)
-    raise AssertionError(f"unhandled command {args.command!r}")
 
 
 def run() -> None:

@@ -45,20 +45,21 @@ def _parse_order(s: str, pos: int) -> tuple[int, int]:
     v = _value(s, pos)
     if v < 63:
         return v, pos + 1
-    # 126 -> long form; a second 126 selects the 36-bit variant
+    # 126 -> 18-bit long form; a second 126 selects the 36-bit form, which
+    # to_graph6 never writes
     if pos + 1 < len(s) and ord(s[pos + 1]) == 126:
-        width, start = 6, pos + 2
-    else:
-        width, start = 3, pos + 1
+        raise Graph6ParseError(
+            f"36-bit length form: orders above {_MAX_ENCODABLE} are not supported", pos + 1
+        )
     n = 0
-    for k in range(width):
+    for k in range(1, 4):
         try:
-            n = (n << 6) | _value(s, start + k)
+            n = (n << 6) | _value(s, pos + k)
         except Graph6ParseError as e:
             if e.offset >= len(s):
                 raise Graph6ParseError("truncated long-form length", len(s)) from None
             raise
-    return n, start + width
+    return n, pos + 4
 
 
 def from_graph6(text: str) -> Graph:

@@ -18,13 +18,7 @@ from typing import Iterable, Iterator, Sequence
 
 from .energy import _union_family_verdict, energy_looped, energy_simple
 from .graph6 import to_graph6
-from .graphs import (
-    Graph,
-    adjacency_matrix,
-    is_connected,
-    with_loops,
-)
-from .spectra import eigenvalues
+from .graphs import Graph, is_connected, with_loops
 
 EQUAL = "EQUAL"
 LOOPED_GREATER = "LOOPED_GREATER"
@@ -48,7 +42,6 @@ class SearchConfig:
     sigma_policy: str = "interior"  # "interior" (0 < sigma < n) or "all"
     eq_tol: float = DEFAULT_EQ_TOL
     connected_only: bool = False
-    dedupe: str = "none"  # "none" or "spectral"
 
     def __post_init__(self):
         if self.n_min < 1:
@@ -61,8 +54,6 @@ class SearchConfig:
             raise ValueError("eq_tol must be positive")
         if self.sigma_policy not in ("interior", "all"):
             raise ValueError(f"unknown sigma_policy {self.sigma_policy!r}")
-        if self.dedupe not in ("none", "spectral"):
-            raise ValueError(f"unknown dedupe {self.dedupe!r}")
 
 
 @dataclass(frozen=True)
@@ -85,22 +76,17 @@ class SearchRecord:
     condition_met: bool | None = None
 
 
-def _pairs(n: int) -> list[tuple[int, int]]:
-    return list(combinations(range(n), 2))
-
-
-def _graph_from_mask(n: int, mask: int, pairs: Sequence[tuple[int, int]]) -> Graph:
-    edges = frozenset(pairs[k] for k in range(len(pairs)) if (mask >> k) & 1)
-    return Graph(n, edges)
-
-
 def enumerate_graphs(n: int, connected_only: bool = False) -> Iterator[Graph]:
-    """All 2^C(n,2) labeled graphs on n vertices, in edge-bitmask order."""
+    """All 2^C(n,2) labeled graphs on n vertices, in edge-bitmask order.
+
+    With connected_only, disconnected graphs are skipped. Every scan draws its
+    graphs from here, so they all share one order and one filter.
+    """
     if not (1 <= n <= MAX_ORDER):
         raise ValueError(f"order must be in [1, {MAX_ORDER}], got {n}")
-    pairs = _pairs(n)
+    pairs = list(combinations(range(n), 2))
     for mask in range(1 << len(pairs)):
-        g = _graph_from_mask(n, mask, pairs)
+        g = Graph(n, frozenset(pair for k, pair in enumerate(pairs) if (mask >> k) & 1))
         if connected_only and not is_connected(g):
             continue
         yield g
@@ -144,31 +130,12 @@ def _scan_one_graph(g: Graph, config: SearchConfig) -> list[SearchRecord]:
     return records
 
 
-def _scan_chunk(args: tuple[SearchConfig, int, Sequence[int]]) -> list[SearchRecord]:
-    config, n, masks = args
-    pairs = _pairs(n)
+def _scan_chunk(args: tuple[SearchConfig, Sequence[Graph]]) -> list[SearchRecord]:
+    config, graphs = args
     out: list[SearchRecord] = []
-    for mask in masks:
-        out.extend(_scan_one_graph(_graph_from_mask(n, mask, pairs), config))
+    for g in graphs:
+        out.extend(_scan_one_graph(g, config))
     return out
-
-
-def _graph_masks(n: int, config: SearchConfig) -> list[int]:
-    pairs = _pairs(n)
-    masks = []
-    seen_spectra: set[tuple[int, ...]] = set()
-    for mask in range(1 << len(pairs)):
-        g = _graph_from_mask(n, mask, pairs)
-        if config.connected_only and not is_connected(g):
-            continue
-        if config.dedupe == "spectral":
-            spectrum = eigenvalues(adjacency_matrix(g))
-            key = tuple(round(v / 1e-6) for v in spectrum)
-            if key in seen_spectra:
-                continue
-            seen_spectra.add(key)
-        masks.append(mask)
-    return masks
 
 
 def scan(config: SearchConfig, workers: int = 1) -> Iterator[SearchRecord]:
@@ -180,13 +147,13 @@ def scan(config: SearchConfig, workers: int = 1) -> Iterator[SearchRecord]:
     if workers is None or workers < 1:
         workers = os.cpu_count() or 1
     for n in range(config.n_min, config.n_max + 1):
-        masks = _graph_masks(n, config)
-        if workers == 1 or len(masks) < 4 * workers:
-            for mask in masks:
-                yield from _scan_one_graph(_graph_from_mask(n, mask, _pairs(n)), config)
+        graphs = list(enumerate_graphs(n, config.connected_only))
+        if workers == 1 or len(graphs) < 4 * workers:
+            for g in graphs:
+                yield from _scan_one_graph(g, config)
             continue
-        chunk = max(1, len(masks) // (workers * 8))
-        jobs = [(config, n, masks[i : i + chunk]) for i in range(0, len(masks), chunk)]
+        chunk = max(1, len(graphs) // (workers * 8))
+        jobs = [(config, graphs[i : i + chunk]) for i in range(0, len(graphs), chunk)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
             for records in pool.map(_scan_chunk, jobs):
                 yield from records
@@ -201,11 +168,22 @@ def find_theorem_family_instances(config: SearchConfig) -> Iterator[SearchRecord
     verdict of G: e_simple is 2 E(G) from the spectrum of G, and e_looped is
     solved from the union as built. Condition-true records must come out
     EQUAL; anything else is a defect in the energy pipeline.
+
+    The family fixes the loop set (n loops on 2n vertices), so a config with
+    sigma_policy "all" raises ValueError here, before any record is produced.
     """
+    if config.sigma_policy != "interior":
+        raise ValueError(
+            f"sigma_policy {config.sigma_policy!r} does not apply to the theorem-1 "
+            "family: every union carries loops on exactly n of its 2n vertices"
+        )
+    return _family_records(config)
+
+
+def _family_records(config: SearchConfig) -> Iterator[SearchRecord]:
     for n in range(config.n_min, config.n_max + 1):
-        pairs = _pairs(n)
-        for mask in _graph_masks(n, config):
-            union, verdict = _union_family_verdict(_graph_from_mask(n, mask, pairs), 1, 1)
+        for g in enumerate_graphs(n, config.connected_only):
+            union, verdict = _union_family_verdict(g, 1, 1)
             e_simple = verdict.rhs_energy
             e_looped = verdict.lhs_energy
             label, suspect, gap = _classify(e_simple, e_looped, config.eq_tol)

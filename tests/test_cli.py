@@ -73,6 +73,19 @@ def test_energy_malformed_input(tmp_path, capsys):
     assert "parse error at byte" in err
 
 
+@pytest.mark.parametrize("bad", ["~", "~~?????@"])
+@pytest.mark.parametrize(
+    "argv", [["energy"], ["spectrum"], ["verify-thm1"], ["convert", "--to", "matrix"]]
+)
+def test_malformed_line_rejects_the_whole_input(tmp_path, capsys, argv, bad):
+    # input is parsed in full before anything is printed: all or nothing
+    path = write(tmp_path, "g", f"{TRIANGLE}\n{bad}\n")
+    code, out, err = run_cli([*argv, path], capsys=capsys)
+    assert code == 2
+    assert out == ""
+    assert "line 2" in err
+
+
 def test_spectrum_command(tmp_path, capsys):
     code, out, _ = run_cli(["spectrum", write(tmp_path, "g", TRIANGLE + "\n")], capsys=capsys)
     assert code == 0

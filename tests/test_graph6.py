@@ -75,6 +75,12 @@ def test_tilde_alone_is_truncated_length():
         from_graph6("~")
 
 
+def test_36_bit_length_form_rejected():
+    # to_graph6 writes at most the 18-bit form, so its decoder accepts no more
+    with pytest.raises(Graph6ParseError, match=r"parse error at byte 1: .*258047"):
+        from_graph6("~~?????@")
+
+
 def test_empty_string_rejected():
     with pytest.raises(Graph6ParseError, match="parse error at byte 0"):
         from_graph6("")

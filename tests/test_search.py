@@ -103,6 +103,32 @@ def test_scan_worker_count_does_not_change_output():
     assert serial == parallel
 
 
+def _connected(g6: str, order: int) -> bool:
+    # independent oracle: networkx connectivity of the first `order` vertices
+    return nx.is_connected(nx.from_graph6_bytes(g6.encode()).subgraph(range(order)))
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_scan_connected_only_keeps_the_connected_records(workers):
+    every = list(scan(SearchConfig(n_max=4), workers=workers))
+    kept = list(scan(SearchConfig(n_max=4, connected_only=True), workers=workers))
+    assert kept == [r for r in every if _connected(r.graph6, r.n)]
+    assert {r.graph6 for r in kept} != {r.graph6 for r in every}
+
+
+def test_family_scan_connected_only_keeps_the_connected_bases():
+    every = list(find_theorem_family_instances(SearchConfig(n_max=4)))
+    kept = list(find_theorem_family_instances(SearchConfig(n_max=4, connected_only=True)))
+    assert kept == [r for r in every if _connected(r.graph6, r.n // 2)]
+    assert 0 < len(kept) < len(every)
+
+
+def test_family_scan_rejects_sigma_all():
+    # the family fixes n loops on 2n vertices; "all" must not pass silently
+    with pytest.raises(ValueError, match="sigma_policy 'all'"):
+        find_theorem_family_instances(SearchConfig(n_min=1, n_max=2, sigma_policy="all"))
+
+
 def test_family_scan_finds_triangle_instance():
     records = list(find_theorem_family_instances(SearchConfig(n_min=3, n_max=3)))
     assert len(records) == 8
@@ -191,15 +217,6 @@ def test_config_validation():
         SearchConfig(eq_tol=0.0)
     with pytest.raises(ValueError):
         SearchConfig(sigma_policy="some")
-    with pytest.raises(ValueError):
-        SearchConfig(dedupe="hash")
-
-
-def test_spectral_dedupe_keeps_one_graph_per_spectrum():
-    cfg = SearchConfig(n_min=3, n_max=3, sigma_policy="interior", dedupe="spectral")
-    kept = {r.graph6 for r in scan(cfg)}
-    # 8 labeled graphs on 3 vertices fall into 4 spectral classes
-    assert len(kept) == 4
 
 
 def test_tsv_shape():
