@@ -19,7 +19,7 @@ from typing import Iterable, Iterator, Sequence, TextIO
 from . import search as search_mod
 from .energy import TheoremVerdict, energy_looped, verify_theorem2
 from .graph6 import LoopFileParseError, read_looped_graphs, write_looped_graphs
-from .graphs import Graph, LoopedGraph, adjacency_matrix, with_loops
+from .graphs import Graph, LoopedGraph, adjacency_matrix, check_matrix_order, with_loops
 from .search import SearchConfig, fmt10, to_jsonl, to_tsv
 
 ENV_THREADS = "LOOP_ENERGY_THREADS"
@@ -33,7 +33,10 @@ def _read_lines(path: str) -> list[str]:
 
 
 def _parse_entries(path: str) -> list[LoopedGraph]:
-    return list(read_looped_graphs(_read_lines(path)))
+    entries = list(read_looped_graphs(_read_lines(path)))
+    for lg in entries:  # refuse an oversized graph before printing anything
+        check_matrix_order(lg.n)
+    return entries
 
 
 def _single_simple_graph(path: str) -> Graph:

@@ -18,7 +18,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .graphs import Graph, LoopedGraph, adjacency_matrix, union_looped, with_all_loops, with_loops
+from .graphs import (
+    Graph,
+    LoopedGraph,
+    adjacency_matrix,
+    check_matrix_order,
+    union_looped,
+    with_all_loops,
+    with_loops,
+)
 from .spectra import Spectrum, eigenvalues
 
 # slack when testing |lambda| against a condition threshold, so exact-boundary
@@ -125,13 +133,15 @@ def _union_family_verdict(g: Graph, p: int, q: int) -> tuple[LoopedGraph, Theore
     """Build p plain + q fully-looped copies of g and check the identity on them.
 
     Two eigensolves: the spectrum of g gives the condition and the right side
-    m * E(g); the union as built gives the left side.
+    m * E(g); the union as built gives the left side. A union above
+    MAX_MATRIX_ORDER raises ValueError before any copy is built.
     """
     if p < 0 or q < 0:
         raise ValueError("copy counts must be nonnegative")
     m = p + q
     if m < 1:
         raise ValueError("need at least one copy (p + q >= 1)")
+    check_matrix_order(m * g.n)
     base = energy_simple(g)
     threshold = max(p, q) / m
     condition = _check_condition(base.spectrum, threshold)

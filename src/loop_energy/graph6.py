@@ -59,6 +59,8 @@ def _parse_order(s: str, pos: int) -> tuple[int, int]:
             if e.offset >= len(s):
                 raise Graph6ParseError("truncated long-form length", len(s)) from None
             raise
+    if n < 63:  # canonical graph6 writes these orders in one byte
+        raise Graph6ParseError(f"non-canonical 18-bit length form for order {n}", pos + 1)
     return n, pos + 4
 
 

@@ -17,6 +17,9 @@ import numpy as np
 
 from .spectra import SymmetricMatrix
 
+# largest order given a dense adjacency matrix; an int64 one of this order is 128 MB
+MAX_MATRIX_ORDER = 4096
+
 
 @dataclass(frozen=True)
 class Graph:
@@ -126,9 +129,13 @@ def union_looped(parts: Sequence[LoopedGraph]) -> LoopedGraph:
 
 
 def adjacency_matrix(g: Graph | LoopedGraph) -> SymmetricMatrix:
-    """0/1 adjacency matrix; diagonal entries mark loop-carrying vertices."""
+    """0/1 adjacency matrix; diagonal entries mark loop-carrying vertices.
+
+    Raises ValueError above MAX_MATRIX_ORDER, before anything is allocated.
+    """
     if isinstance(g, Graph):
         g = LoopedGraph(g, frozenset())
+    check_matrix_order(g.n)
     a = np.zeros((g.n, g.n), dtype=np.int64)
     for u, v in g.base.edges:
         a[u, v] = 1
@@ -136,6 +143,15 @@ def adjacency_matrix(g: Graph | LoopedGraph) -> SymmetricMatrix:
     for i in g.loops:
         a[i, i] = 1
     return SymmetricMatrix(a)
+
+
+def check_matrix_order(n: int) -> None:
+    """Raise ValueError if an order-n graph is too large for a dense matrix."""
+    if n > MAX_MATRIX_ORDER:
+        raise ValueError(
+            f"order {n} exceeds the limit of {MAX_MATRIX_ORDER} vertices for a dense "
+            "adjacency matrix"
+        )
 
 
 def is_connected(g: Graph) -> bool:

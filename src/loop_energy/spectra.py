@@ -1,11 +1,14 @@
 """Dense symmetric eigensolver and an exact characteristic-polynomial oracle.
 
-Eigenvalues come from cyclic Jacobi rotations, which converge unconditionally
-for symmetric input and keep high relative accuracy at the small orders this
-package targets (n up to a few hundred). Characteristic polynomials use the
-Faddeev-LeVerrier recurrence; for integer matrices every division in the
-recurrence is exact, so the coefficients are bit-exact Python integers and
-independent of anything floating-point.
+Matrices of order above JACOBI_MAX_ORDER (8) are solved by LAPACK through
+numpy.linalg. Orders up to 8, which cover every matrix the exhaustive scan
+solves, use cyclic Jacobi rotations, JIT-compiled when numba is importable;
+they converge unconditionally for symmetric input. Adjacency matrices are
+limited to order 4,096 (graphs.MAX_MATRIX_ORDER).
+
+Characteristic polynomials use the Faddeev-LeVerrier recurrence; for integer
+matrices every division in the recurrence is exact, so the coefficients are
+bit-exact Python integers and independent of anything floating-point.
 """
 
 from __future__ import annotations
@@ -16,6 +19,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+# orders above this go to LAPACK; search.MAX_ORDER must not exceed it, so the
+# scan's output does not depend on LAPACK
+JACOBI_MAX_ORDER = 8
 SWEEP_CAP = 100
 # off-diagonal Frobenius norm must drop below this times (1 + ||A||_F)
 CONVERGENCE_RTOL = 1e-12
@@ -127,7 +133,9 @@ def _jacobi_sweeps(a, v, accumulate, max_sweeps, tol):
                     continue
                 app = a[p, p]
                 aqq = a[q, q]
-                theta = 0.5 * (aqq - app) / apq
+                # Python floats: a huge theta squares to inf (t = 0, no
+                # rotation) without numpy's overflow warning
+                theta = 0.5 * float(aqq - app) / float(apq)
                 t = 1.0 / (abs(theta) + math.sqrt(theta * theta + 1.0))
                 if theta < 0.0:
                     t = -t
@@ -165,13 +173,21 @@ except ImportError:  # pragma: no cover
 def _eigh(m: SymmetricMatrix, accumulate: bool = True, max_sweeps: int = SWEEP_CAP):
     """Eigenvalues (descending) and matching eigenvector columns.
 
-    Internal: the public result type carries no eigenvectors; tests use the
-    accumulated rotations for residual checks.
+    Internal: the public result type carries no eigenvectors; tests use them
+    for residual checks. Above JACOBI_MAX_ORDER, LAPACK solves the matrix
+    (numpy.linalg.LinAlgError on failure) and `max_sweeps` does not apply;
+    without `accumulate` no eigenvectors are computed there and None is
+    returned in their place.
     """
     a = np.array(m.data, dtype=np.float64)
     n = a.shape[0]
     if n == 0:
         return np.empty(0), np.empty((0, 0))
+    if n > JACOBI_MAX_ORDER:
+        if not accumulate:
+            return np.linalg.eigvalsh(a)[::-1], None
+        w, v = np.linalg.eigh(a)
+        return w[::-1], v[:, ::-1]
     fro = math.sqrt(float((a * a).sum()))
     tol = CONVERGENCE_RTOL * (1.0 + fro)
     v = np.eye(n)

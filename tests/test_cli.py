@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from loop_energy import graphs
 from loop_energy.cli import main
 
 TRIANGLE = "Bw"            # K_3
@@ -73,7 +74,7 @@ def test_energy_malformed_input(tmp_path, capsys):
     assert "parse error at byte" in err
 
 
-@pytest.mark.parametrize("bad", ["~", "~~?????@"])
+@pytest.mark.parametrize("bad", ["~", "~~?????@", "~??Bw"])
 @pytest.mark.parametrize(
     "argv", [["energy"], ["spectrum"], ["verify-thm1"], ["convert", "--to", "matrix"]]
 )
@@ -84,6 +85,19 @@ def test_malformed_line_rejects_the_whole_input(tmp_path, capsys, argv, bad):
     assert code == 2
     assert out == ""
     assert "line 2" in err
+
+
+@pytest.mark.parametrize(
+    "argv", [["energy"], ["spectrum"], ["convert", "--to", "matrix"]]
+)
+def test_oversized_graph_rejects_the_whole_input(tmp_path, capsys, monkeypatch, argv):
+    # a 4-vertex graph stands in for one above 4096, whose graph6 line is 1.4 MB
+    monkeypatch.setattr(graphs, "MAX_MATRIX_ORDER", 3)
+    path = write(tmp_path, "g", f"{TRIANGLE}\nC~\n")
+    code, out, err = run_cli([*argv, path], capsys=capsys)
+    assert code == 2
+    assert out == ""
+    assert "order 4 exceeds the limit of 3" in err
 
 
 def test_spectrum_command(tmp_path, capsys):
@@ -121,6 +135,14 @@ def test_verify_thm2_rejects_zero_copies(tmp_path, capsys):
     code, _, err = run_cli(["verify-thm2", path, "-p", "0", "-q", "0"], capsys=capsys)
     assert code == 2
     assert "p + q >= 1" in err
+
+
+def test_verify_thm2_rejects_union_above_order_limit(tmp_path, capsys):
+    path = write(tmp_path, "g", "@\n")
+    code, out, err = run_cli(["verify-thm2", path, "-p", "5000", "-q", "0"], capsys=capsys)
+    assert code == 2
+    assert out == ""
+    assert "4096" in err
 
 
 def test_verify_rejects_sidecar_input(tmp_path, capsys):

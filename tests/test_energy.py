@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import graphs, looped_graphs
+from loop_energy import energy
 from loop_energy import (
     complete_graph,
     disjoint_union,
@@ -141,6 +142,16 @@ def test_scaled_union_rejects_no_copies():
         verify_theorem2(complete_graph(2), 0, 0)
     with pytest.raises(ValueError):
         verify_theorem2(complete_graph(2), -1, 2)
+
+
+def test_verify_theorem2_rejects_union_above_order_limit(monkeypatch):
+    # 2049 copies of an edge make 4098 vertices; refused before any copy is built
+    def no_union(parts):
+        raise AssertionError("union built before the order check")
+
+    monkeypatch.setattr(energy, "union_looped", no_union)
+    with pytest.raises(ValueError, match="4096"):
+        verify_theorem2(complete_graph(2), 2049, 0)
 
 
 def test_energy_gap_examples():

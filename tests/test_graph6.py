@@ -81,6 +81,12 @@ def test_36_bit_length_form_rejected():
         from_graph6("~~?????@")
 
 
+def test_long_form_below_63_rejected():
+    # "~??B" spells order 3 in the 18-bit form; canonical graph6 writes "B"
+    with pytest.raises(Graph6ParseError, match=r"parse error at byte 1: .*order 3"):
+        from_graph6("~??Bw")
+
+
 def test_empty_string_rejected():
     with pytest.raises(Graph6ParseError, match="parse error at byte 0"):
         from_graph6("")

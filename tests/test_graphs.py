@@ -169,6 +169,11 @@ def test_adjacency_trace_equals_sigma(lg):
     assert np.array_equal(a, a.T)
 
 
+def test_adjacency_matrix_rejects_order_above_limit():
+    with pytest.raises(ValueError, match="4096"):
+        adjacency_matrix(empty_graph(4097))
+
+
 def test_graph_rejects_self_pair():
     with pytest.raises(ValueError, match="self-pair"):
         Graph(3, frozenset({(1, 1)}))

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 from itertools import combinations
@@ -5,6 +6,7 @@ from itertools import combinations
 import networkx as nx
 import pytest
 
+from exact_oracle import truly_equal
 from loop_energy import (
     SearchConfig,
     SearchRecord,
@@ -13,10 +15,12 @@ from loop_energy import (
     energy_gap,
     enumerate_graphs,
     find_theorem_family_instances,
+    from_graph6,
     relabel,
     scan,
     to_graph6,
     verify_theorem1,
+    with_loops,
 )
 from loop_energy import energy
 from loop_energy.search import (
@@ -103,6 +107,13 @@ def test_scan_worker_count_does_not_change_output():
     assert serial == parallel
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_scan_to_order_four_matches_golden_digest(workers):
+    # sha256 of `search --n-max 4` stdout, recorded before the scan kernel changes
+    tsv = "".join(line + "\n" for line in to_tsv(scan(SearchConfig(n_max=4), workers=workers)))
+    assert hashlib.sha256(tsv.encode("ascii")).hexdigest().startswith("61d229e17d63c75b")
+
+
 def _connected(g6: str, order: int) -> bool:
     # independent oracle: networkx connectivity of the first `order` vertices
     return nx.is_connected(nx.from_graph6_bytes(g6.encode()).subgraph(range(order)))
@@ -145,6 +156,18 @@ def test_family_scan_condition_true_implies_equal():
     for r in find_theorem_family_instances(SearchConfig(n_min=1, n_max=4)):
         if r.condition_met:
             assert r.classification == EQUAL
+
+
+def test_family_unions_of_order_ten_are_exactly_equal():
+    # order-10 unions are solved by LAPACK; the exact oracle checks the verdicts
+    records = find_theorem_family_instances(SearchConfig(n_min=5, n_max=5))
+    hits = [r for r in records if r.condition_met][:10]
+    assert len(hits) == 10
+    for r in hits:
+        assert r.n == 10
+        assert r.classification == EQUAL
+        assert abs(r.gap) <= 1e-12
+        assert truly_equal(with_loops(from_graph6(r.graph6), r.loops))
 
 
 def test_family_scan_single_edge_base():

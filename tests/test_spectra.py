@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import graphs, looped_graphs
+from loop_energy import search, spectra
 from loop_energy import (
     CharPoly,
     ConvergenceError,
@@ -17,6 +19,8 @@ from loop_energy import (
     disjoint_union,
     eigenvalues,
     empty_graph,
+    energy_looped,
+    from_graph6,
     path_graph,
     relabel_looped,
     shift_spectrum,
@@ -25,7 +29,7 @@ from loop_energy import (
     with_all_loops,
     with_loops,
 )
-from loop_energy.spectra import _eigh
+from loop_energy.spectra import CONVERGENCE_RTOL, SWEEP_CAP, _eigh, _jacobi_sweeps
 
 
 def test_symmetric_matrix_rejects_non_square():
@@ -96,6 +100,46 @@ def test_solver_failure_carries_off_diagonal_norm():
     with pytest.raises(ConvergenceError) as exc:
         _eigh(m, max_sweeps=0)
     assert exc.value.off_diagonal_norm > 0.0
+
+
+def test_jacobi_rotation_overflow_is_silent():
+    # in each of these a sweep drives theta * theta past the float range;
+    # that means t = 0 (no rotation) and must not warn
+    for lg in [
+        with_loops(from_graph6("EZxG"), ()),
+        with_all_loops(from_graph6("EmE?")),
+        with_all_loops(from_graph6("EuD?")),
+    ]:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            report = energy_looped(lg)
+        expected = np.abs(np.linalg.eigvalsh(adjacency_matrix(lg).data) - report.shift).sum()
+        assert abs(report.energy - expected) <= 1e-9
+
+
+def test_scan_orders_stay_on_jacobi():
+    # the exhaustive scan's bytes must not depend on the LAPACK build
+    assert search.MAX_ORDER <= spectra.JACOBI_MAX_ORDER
+
+
+def _jacobi_values(a):
+    a = np.array(a, dtype=np.float64)
+    n = a.shape[0]
+    tol = CONVERGENCE_RTOL * (1.0 + np.linalg.norm(a))
+    _, _, converged = _jacobi_sweeps(a, np.eye(n), False, SWEEP_CAP, tol)
+    assert converged
+    return np.sort(np.diag(a))[::-1]
+
+
+@pytest.mark.parametrize("n", [9, 10, 11, 12])
+def test_lapack_orders_agree_with_jacobi(n):
+    rng = np.random.default_rng(n)
+    for _ in range(5):
+        a = np.triu(rng.integers(0, 2, size=(n, n)))
+        a = a + np.triu(a, 1).T  # 0/1 symmetric, loops on the diagonal
+        m = SymmetricMatrix(a)
+        got = np.array(eigenvalues(m).values)
+        assert np.abs(got - _jacobi_values(a)).max() <= 1e-12 * (1 + m.frobenius_norm())
 
 
 def test_char_poly_single_edge():
