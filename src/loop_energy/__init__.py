@@ -58,8 +58,6 @@ from .spectra import (
     SymmetricMatrix,
     char_poly,
     eigenvalues,
-    shift_spectrum,
-    union_spectrum,
 )
 
 __version__ = "0.1.0"
@@ -97,12 +95,10 @@ __all__ = [
     "relabel",
     "relabel_looped",
     "scan",
-    "shift_spectrum",
     "theorem1_condition",
     "to_graph6",
     "union_family_energy",
     "union_looped",
-    "union_spectrum",
     "verify_theorem1",
     "verify_theorem2",
     "with_all_loops",

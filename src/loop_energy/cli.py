@@ -112,6 +112,11 @@ def _cmd_search(args, parser: argparse.ArgumentParser) -> int:
                 "--sigma all does not apply to --family thm1: every union "
                 "carries loops on exactly n of its 2n vertices"
             )
+        if workers > 1:
+            parser.error(
+                f"{ENV_THREADS}={os.environ[ENV_THREADS]} does not apply to "
+                "--family thm1, which runs in one process; unset it or set it to 1"
+            )
         # flags give the order of the emitted union; the base graph is half that
         n_min, n_max = (n_min + 1) // 2, n_max // 2
     if n_max > search_mod.DEFAULT_MAX_ORDER and not args.force_large:

@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import json
 import os
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, islice
 from typing import Iterable, Iterator, Sequence
 
 from .energy import _union_family_verdict, energy_looped, energy_simple
@@ -143,20 +144,30 @@ def scan(config: SearchConfig, workers: int = 1) -> Iterator[SearchRecord]:
 
     `workers` > 1 partitions the graph stream across processes; the output
     order (and bytes, once rendered) is identical for any worker count.
+    Graphs are drawn as they are needed: at most 2 * workers chunks are in
+    flight, so memory does not grow with the 2^C(n,2) graphs of an order.
     """
     if workers is None or workers < 1:
         workers = os.cpu_count() or 1
     for n in range(config.n_min, config.n_max + 1):
-        graphs = list(enumerate_graphs(n, config.connected_only))
-        if workers == 1 or len(graphs) < 4 * workers:
+        graphs = enumerate_graphs(n, config.connected_only)
+        total = 1 << (n * (n - 1) // 2)
+        if workers == 1 or total < 4 * workers:
             for g in graphs:
                 yield from _scan_one_graph(g, config)
             continue
-        chunk = max(1, len(graphs) // (workers * 8))
-        jobs = [(config, graphs[i : i + chunk]) for i in range(0, len(graphs), chunk)]
+        # at most 64 graphs a chunk: the records in flight stay bounded at any order
+        size = max(1, min(64, total // (workers * 8)))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for records in pool.map(_scan_chunk, jobs):
-                yield from records
+            pending = deque()
+            while chunk := list(islice(graphs, size)):
+                # a map of one job submits it at once; map, not submit, so that
+                # perfbench/traced.py still times the wait on its results
+                pending.append(pool.map(_scan_chunk, [(config, chunk)]))
+                if len(pending) == 2 * workers:
+                    yield from next(pending.popleft())
+            while pending:
+                yield from next(pending.popleft())
 
 
 def find_theorem_family_instances(config: SearchConfig) -> Iterator[SearchRecord]:

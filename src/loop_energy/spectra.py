@@ -6,16 +6,15 @@ solves, use cyclic Jacobi rotations, JIT-compiled when numba is importable;
 they converge unconditionally for symmetric input. Adjacency matrices are
 limited to order 4,096 (graphs.MAX_MATRIX_ORDER).
 
-Characteristic polynomials use the Faddeev-LeVerrier recurrence; for integer
-matrices every division in the recurrence is exact, so the coefficients are
-bit-exact Python integers and independent of anything floating-point.
+Characteristic polynomials use Berkowitz's division-free recurrence, so for
+integer matrices the coefficients are exact Python integers by construction,
+independent of anything floating-point.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -208,54 +207,24 @@ def eigenvalues(m: SymmetricMatrix) -> Spectrum:
 
 
 def char_poly(m: SymmetricMatrix) -> CharPoly:
-    """Monic characteristic polynomial det(xI - A).
+    """Monic characteristic polynomial det(xI - A), by Berkowitz's recurrence.
 
-    Integer matrices take an all-integer path: the Faddeev-LeVerrier trace
-    divisions are exact there (checked), so coefficients are exact ints.
+    The recurrence is division-free, so integer matrices give exact Python
+    ints; float matrices run through the same loop.
     """
     n = m.n
     if n < 1:
         raise ValueError("characteristic polynomial needs n >= 1")
-    exact = issubclass(m.data.dtype.type, np.integer)
-    if exact:
-        a = [[int(x) for x in row] for row in m.data]
-    else:
-        a = [[float(x) for x in row] for row in m.data]
-
+    a = m.data.tolist()
     coeffs = [1]
-    work = [row[:] for row in a]  # M_1 = A
-    for k in range(1, n + 1):
-        if k > 1:
-            # M_k = A @ (M_{k-1} + c_{k-1} I)
-            prev = work
-            ck = coeffs[-1]
-            shifted = [
-                [prev[i][j] + ck if i == j else prev[i][j] for j in range(n)]
-                for i in range(n)
-            ]
-            work = [
-                [sum(a[i][l] * shifted[l][j] for l in range(n)) for j in range(n)]
-                for i in range(n)
-            ]
-        tr = sum(work[i][i] for i in range(n))
-        if exact:
-            c, rem = divmod(-tr, k)
-            if rem:
-                raise ArithmeticError("trace recurrence lost integrality")
-        else:
-            c = -tr / k
-        coeffs.append(c)
+    for k in range(n):
+        # border the leading k-block B with row k = (c, a_kk): the grown
+        # block's coefficients are the old ones convolved with
+        # q = 1, -a_kk, -c.c, -c.Bc, ..., -c.B^(k-1)c, cut to k + 2 terms
+        col = a[k][:k]
+        q = [1, -a[k][k]]
+        for _ in range(k):
+            q.append(-sum(x * y for x, y in zip(a[k], col)))
+            col = [sum(x * y for x, y in zip(a[i], col)) for i in range(k)]
+        coeffs = [sum(q[i - j] * coeffs[j] for j in range(min(i, k) + 1)) for i in range(k + 2)]
     return CharPoly(tuple(coeffs))
-
-
-def shift_spectrum(s: Spectrum, c: float) -> Spectrum:
-    """Spectrum of A + cI given the spectrum of A."""
-    return Spectrum(tuple(v + c for v in s.values))
-
-
-def union_spectrum(parts: Iterable[Spectrum] | Sequence[Spectrum]) -> Spectrum:
-    """Multiset union of spectra (eigenvalues of a block-diagonal matrix)."""
-    values: list[float] = []
-    for part in parts:
-        values.extend(part.values)
-    return Spectrum(tuple(values))

@@ -197,6 +197,18 @@ def test_search_family_rejects_sigma_all(capsys):
     assert "--sigma all does not apply to --family thm1" in err
 
 
+@pytest.mark.parametrize("threads, expected", [("2", 2), ("1", 0)])
+def test_search_family_rejects_more_than_one_worker(monkeypatch, capsys, threads, expected):
+    monkeypatch.setenv("LOOP_ENERGY_THREADS", threads)
+    code, out, err = run_cli(["search", "--family", "thm1", "--n-max", "4"], capsys=capsys)
+    assert code == expected
+    if expected:
+        assert out == ""
+        assert "LOOP_ENERGY_THREADS" in err
+    else:
+        assert out.startswith("graph6\t")
+
+
 def test_search_jsonl_output(capsys):
     code, out, _ = run_cli(
         ["search", "--n-min", "2", "--n-max", "2", "--format", "jsonl"], capsys=capsys

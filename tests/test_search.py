@@ -22,7 +22,7 @@ from loop_energy import (
     verify_theorem1,
     with_loops,
 )
-from loop_energy import energy
+from loop_energy import energy, search
 from loop_energy.search import (
     EQUAL,
     LOOPED_GREATER,
@@ -112,6 +112,25 @@ def test_scan_to_order_four_matches_golden_digest(workers):
     # sha256 of `search --n-max 4` stdout, recorded before the scan kernel changes
     tsv = "".join(line + "\n" for line in to_tsv(scan(SearchConfig(n_max=4), workers=workers)))
     assert hashlib.sha256(tsv.encode("ascii")).hexdigest().startswith("61d229e17d63c75b")
+
+
+@pytest.mark.parametrize("n, workers", [(5, 1), (5, 2), (6, 2)])
+def test_scan_draws_graphs_as_it_needs_them(monkeypatch, n, workers):
+    drawn = []
+    enumerate_all = search.enumerate_graphs
+
+    def counting(n, connected_only=False):
+        for g in enumerate_all(n, connected_only):
+            drawn.append(g)
+            yield g
+
+    monkeypatch.setattr(search, "enumerate_graphs", counting)
+    records = scan(SearchConfig(n_min=n, n_max=n), workers=workers)
+    first = next(records)
+    records.close()
+    assert first.graph6 == to_graph6(next(enumerate_all(n)))
+    # the pool reads at most 2 * workers chunks of at most 64 graphs each
+    assert len(drawn) <= 256
 
 
 def _connected(g6: str, order: int) -> bool:
