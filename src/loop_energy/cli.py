@@ -4,7 +4,9 @@ stdout carries only machine-readable payload; summaries and diagnostics go
 to stderr, so the commands compose in pipelines. Numbers are printed with a
 '.' decimal separator and a fixed 10 significant digits.
 
-Exit codes: 0 success; 2 parse or usage error. The verify commands add:
+Exit codes: 0 success; 2 parse or usage error. argparse reports a malformed
+command line itself; any error after that is one 'error: ...' line on stderr.
+The verify commands add:
 1 = condition held but the identity gap exceeded tolerance (a pipeline bug),
 3 = condition failed (informational; both energies are still printed).
 """
@@ -19,7 +21,7 @@ from typing import Iterable, Iterator, Sequence, TextIO
 from . import search as search_mod
 from .energy import TheoremVerdict, energy_looped, verify_theorem2
 from .graph6 import LoopFileParseError, read_looped_graphs, write_looped_graphs
-from .graphs import Graph, LoopedGraph, adjacency_matrix, check_matrix_order, with_loops
+from .graphs import Graph, LoopedGraph, adjacency_matrix, with_loops
 from .search import SearchConfig, fmt10, to_jsonl, to_tsv
 
 ENV_THREADS = "LOOP_ENERGY_THREADS"
@@ -33,10 +35,8 @@ def _read_lines(path: str) -> list[str]:
 
 
 def _parse_entries(path: str) -> list[LoopedGraph]:
-    entries = list(read_looped_graphs(_read_lines(path)))
-    for lg in entries:  # refuse an oversized graph before printing anything
-        check_matrix_order(lg.n)
-    return entries
+    # parsed in full before anything is printed: a bad line rejects the input
+    return list(read_looped_graphs(_read_lines(path)))
 
 
 def _single_simple_graph(path: str) -> Graph:
@@ -57,7 +57,7 @@ def _print_report(lg: LoopedGraph, out: TextIO) -> None:
     print(f"energy {fmt10(report.energy)}", file=out)
 
 
-def _cmd_energy(args, parser: argparse.ArgumentParser) -> int:
+def _cmd_energy(args) -> int:
     for k, lg in enumerate(_parse_entries(args.input)):
         if k:
             print()
@@ -65,7 +65,7 @@ def _cmd_energy(args, parser: argparse.ArgumentParser) -> int:
     return 0
 
 
-def _cmd_spectrum(args, parser: argparse.ArgumentParser) -> int:
+def _cmd_spectrum(args) -> int:
     for lg in _parse_entries(args.input):
         spectrum = energy_looped(lg).spectrum
         print(" ".join(fmt10(v) for v in spectrum))
@@ -86,57 +86,52 @@ def _print_verdict(verdict: TheoremVerdict) -> int:
     return 0 if verdict.gap_within_tolerance() else 1
 
 
-def _cmd_verify(args, parser: argparse.ArgumentParser) -> int:
-    if args.p < 0 or args.q < 0 or args.p + args.q < 1:
-        parser.error("need p, q >= 0 and p + q >= 1")
+def _cmd_verify(args) -> int:
     return _print_verdict(verify_theorem2(_single_simple_graph(args.input), args.p, args.q))
 
 
-def _workers(parser: argparse.ArgumentParser) -> int:
+def _workers() -> int:
     raw = os.environ.get(ENV_THREADS, "1")
     try:
         value = int(raw)
     except ValueError:
-        parser.error(f"{ENV_THREADS} must be an integer, got {raw!r}")
+        raise ValueError(f"{ENV_THREADS} must be an integer, got {raw!r}") from None
     if value < 0:
-        parser.error(f"{ENV_THREADS} must be >= 0, got {value}")
+        raise ValueError(f"{ENV_THREADS} must be >= 0, got {value}")
     return value if value > 0 else (os.cpu_count() or 1)
 
 
-def _cmd_search(args, parser: argparse.ArgumentParser) -> int:
-    workers = _workers(parser)
+def _cmd_search(args) -> int:
+    workers = _workers()
     n_min, n_max = args.n_min, args.n_max
     if args.family == "thm1":
         if args.sigma == "all":
-            parser.error(
+            raise ValueError(
                 "--sigma all does not apply to --family thm1: every union "
                 "carries loops on exactly n of its 2n vertices"
             )
         if workers > 1:
-            parser.error(
+            raise ValueError(
                 f"{ENV_THREADS}={os.environ[ENV_THREADS]} does not apply to "
                 "--family thm1, which runs in one process; unset it or set it to 1"
             )
         # flags give the order of the emitted union; the base graph is half that
         n_min, n_max = (n_min + 1) // 2, n_max // 2
     if n_max > search_mod.DEFAULT_MAX_ORDER and not args.force_large:
-        parser.error(
+        raise ValueError(
             f"scanning graphs of order {n_max} visits 2^C({n_max},2) graphs "
             f"(2^28 at order 8); pass --force-large to acknowledge the runtime"
         )
     if args.family == "thm1" and n_min > n_max:  # no even union order in range
         records: Iterator[search_mod.SearchRecord] = iter(())
     else:
-        try:
-            config = SearchConfig(
-                n_min=n_min,
-                n_max=n_max,
-                sigma_policy=args.sigma,
-                eq_tol=args.eq_tol,
-                connected_only=args.connected,
-            )
-        except ValueError as e:
-            parser.error(str(e))
+        config = SearchConfig(
+            n_min=n_min,
+            n_max=n_max,
+            sigma_policy=args.sigma,
+            eq_tol=args.eq_tol,
+            connected_only=args.connected,
+        )
         if args.family == "thm1":
             records = search_mod.find_theorem_family_instances(config)
         else:
@@ -159,13 +154,8 @@ def _cmd_search(args, parser: argparse.ArgumentParser) -> int:
     else:
         lines = to_jsonl(counted(records))
 
-    if args.out:
-        with open(args.out, "w", encoding="ascii") as fh:
-            for line in lines:
-                fh.write(line + "\n")
-    else:
-        for line in lines:
-            print(line)
+    for line in lines:
+        print(line)
     summary = " ".join(
         [f"records={total}"]
         + [f"{label}={counts[label]}" for label in search_mod.CLASSES]
@@ -209,7 +199,7 @@ def _parse_matrix_block(block: Sequence[str]) -> LoopedGraph:
     return with_loops(Graph(n, edges), loops)
 
 
-def _cmd_convert(args, parser: argparse.ArgumentParser) -> int:
+def _cmd_convert(args) -> int:
     if args.to == "matrix":
         for k, lg in enumerate(_parse_entries(args.input)):
             if k:
@@ -272,7 +262,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_search.add_argument("--eq-tol", type=float, default=search_mod.DEFAULT_EQ_TOL,
                           help="relative equality tolerance factor")
     p_search.add_argument("--format", choices=("tsv", "jsonl"), default="tsv")
-    p_search.add_argument("--out", help="write records here instead of stdout")
     p_search.add_argument("--family", choices=("thm1",),
                           help="restrict to unions of G with its fully-looped copy; "
                                "--n-min/--n-max then bound the union's order")
@@ -291,19 +280,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as e:
         return int(e.code or 0)
 
     try:
-        return args.run(args, parser)
+        return args.run(args)
     except (ValueError, OSError) as e:  # includes both graph6 parse errors
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except SystemExit as e:  # parser.error inside a command
-        return int(e.code or 0)
 
 
 def run() -> None:

@@ -3,14 +3,16 @@
 graph6 cannot express self-loops, so loop sets travel in a sidecar line
 "L: i1,i2,..." (0-based sorted indices) immediately after a graph6 line;
 an absent sidecar means no loops. One graph per line; the optional
-">>graph6<<" header is tolerated on input and never written.
+">>graph6<<" header is tolerated on input and never written. The decoder
+rejects orders above graphs.MAX_MATRIX_ORDER at the length bytes, before it
+reads any edge data.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Iterator
 
-from .graphs import Graph, LoopedGraph, with_loops
+from .graphs import Graph, LoopedGraph, check_matrix_order, with_loops
 
 HEADER = ">>graph6<<"
 _MAX_ENCODABLE = 258047  # largest order for the 18-bit length form
@@ -41,10 +43,18 @@ def _value(s: str, pos: int) -> int:
     return b - 63
 
 
+def _checked_order(n: int, offset: int) -> int:
+    try:
+        check_matrix_order(n)
+    except ValueError as e:
+        raise Graph6ParseError(str(e), offset) from None
+    return n
+
+
 def _parse_order(s: str, pos: int) -> tuple[int, int]:
     v = _value(s, pos)
     if v < 63:
-        return v, pos + 1
+        return _checked_order(v, pos), pos + 1
     # 126 -> 18-bit long form; a second 126 selects the 36-bit form, which
     # to_graph6 never writes
     if pos + 1 < len(s) and ord(s[pos + 1]) == 126:
@@ -61,7 +71,7 @@ def _parse_order(s: str, pos: int) -> tuple[int, int]:
             raise
     if n < 63:  # canonical graph6 writes these orders in one byte
         raise Graph6ParseError(f"non-canonical 18-bit length form for order {n}", pos + 1)
-    return n, pos + 4
+    return _checked_order(n, pos + 1), pos + 4
 
 
 def from_graph6(text: str) -> Graph:

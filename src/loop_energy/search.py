@@ -10,6 +10,7 @@ work is partitioned across processes.
 from __future__ import annotations
 
 import json
+import math
 import os
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
@@ -36,7 +37,7 @@ TSV_COLUMNS = ("graph6", "loops", "sigma", "n", "e_simple", "e_looped", "gap", "
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Scan parameters. eq_tol is a relative tolerance factor (must be > 0)."""
+    """Scan parameters. eq_tol is a relative tolerance factor (finite, > 0)."""
 
     n_min: int = 1
     n_max: int = DEFAULT_MAX_ORDER
@@ -51,8 +52,8 @@ class SearchConfig:
             raise ValueError("n_max must be >= n_min")
         if self.n_max > MAX_ORDER:
             raise ValueError(f"n_max exceeds the hard cap {MAX_ORDER}")
-        if self.eq_tol <= 0:
-            raise ValueError("eq_tol must be positive")
+        if not 0 < self.eq_tol < math.inf:  # nan fails both comparisons
+            raise ValueError(f"eq_tol must be finite and positive, got {self.eq_tol}")
         if self.sigma_policy not in ("interior", "all"):
             raise ValueError(f"unknown sigma_policy {self.sigma_policy!r}")
 

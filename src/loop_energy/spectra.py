@@ -2,9 +2,9 @@
 
 Matrices of order above JACOBI_MAX_ORDER (8) are solved by LAPACK through
 numpy.linalg. Orders up to 8, which cover every matrix the exhaustive scan
-solves, use cyclic Jacobi rotations, JIT-compiled when numba is importable;
-they converge unconditionally for symmetric input. Adjacency matrices are
-limited to order 4,096 (graphs.MAX_MATRIX_ORDER).
+solves, use cyclic Jacobi rotations in pure Python; they converge
+unconditionally for symmetric input. Adjacency matrices are limited to order
+4,096 (graphs.MAX_MATRIX_ORDER).
 
 Characteristic polynomials use Berkowitz's division-free recurrence, so for
 integer matrices the coefficients are exact Python integers by construction,
@@ -161,14 +161,6 @@ def _jacobi_sweeps(a, v, accumulate, max_sweeps, tol):
         sweeps += 1
 
 
-try:  # JIT keeps the exhaustive scans fast; the plain function is the fallback
-    from numba import njit
-
-    _jacobi = njit(cache=True)(_jacobi_sweeps)
-except ImportError:  # pragma: no cover
-    _jacobi = _jacobi_sweeps
-
-
 def _eigh(m: SymmetricMatrix, accumulate: bool = True, max_sweeps: int = SWEEP_CAP):
     """Eigenvalues (descending) and matching eigenvector columns.
 
@@ -190,7 +182,7 @@ def _eigh(m: SymmetricMatrix, accumulate: bool = True, max_sweeps: int = SWEEP_C
     fro = math.sqrt(float((a * a).sum()))
     tol = CONVERGENCE_RTOL * (1.0 + fro)
     v = np.eye(n)
-    off, sweeps, converged = _jacobi(a, v, accumulate, max_sweeps, tol)
+    off, sweeps, converged = _jacobi_sweeps(a, v, accumulate, max_sweeps, tol)
     if not converged:
         raise ConvergenceError(off, sweeps)
     w = np.diag(a).copy()

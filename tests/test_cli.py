@@ -100,6 +100,45 @@ def test_oversized_graph_rejects_the_whole_input(tmp_path, capsys, monkeypatch, 
     assert "order 4 exceeds the limit of 3" in err
 
 
+def test_order_above_limit_is_rejected_at_its_length_bytes(tmp_path, capsys):
+    # "~@MG" spells order 5000 and carries no edge data at all
+    path = write(tmp_path, "g", f"{TRIANGLE}\n~@MG\n")
+    code, out, err = run_cli(["energy", path], capsys=capsys)
+    assert code == 2
+    assert out == ""
+    assert "line 2" in err and "4096" in err
+
+
+@pytest.mark.parametrize(
+    "threads, argv",
+    [
+        (None, ["search", "--n-max", "6"]),
+        (None, ["search", "--family", "thm1", "--sigma", "all"]),
+        (None, ["search", "--n-min", "0"]),
+        (None, ["search", "--eq-tol", "inf"]),
+        ("lots", ["search", "--n-max", "2"]),
+        ("2", ["search", "--family", "thm1", "--n-max", "4"]),
+        (None, ["verify-thm2", "-p", "0", "-q", "0", "TRIANGLE_FILE"]),
+    ],
+    ids=["large-scan", "family-sigma-all", "n-min-0", "eq-tol-inf", "threads-lots",
+         "family-threads-2", "verify-no-copies"],
+)
+def test_errors_inside_a_command_print_one_line(tmp_path, capsys, monkeypatch, threads, argv):
+    # argparse reports malformed command lines; anything after parsing is a
+    # single "error: ..." line and exit 2, with no usage text
+    if threads is None:
+        monkeypatch.delenv("LOOP_ENERGY_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("LOOP_ENERGY_THREADS", threads)
+    triangle = write(tmp_path, "g", TRIANGLE + "\n")
+    argv = [triangle if a == "TRIANGLE_FILE" else a for a in argv]
+    code, out, err = run_cli(argv, capsys=capsys)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: ")
+
+
 def test_spectrum_command(tmp_path, capsys):
     code, out, _ = run_cli(["spectrum", write(tmp_path, "g", TRIANGLE + "\n")], capsys=capsys)
     assert code == 0
@@ -217,17 +256,6 @@ def test_search_jsonl_output(capsys):
     for line in out.strip().splitlines():
         obj = json.loads(line)
         assert obj["n"] == 2 and obj["class"] in ("EQUAL", "LOOPED_GREATER", "SIMPLE_GREATER")
-
-
-def test_search_out_file(tmp_path, capsys):
-    out_path = tmp_path / "records.tsv"
-    code, out, err = run_cli(
-        ["search", "--n-max", "2", "--sigma", "all", "--out", str(out_path)], capsys=capsys
-    )
-    assert code == 0
-    assert out == ""
-    assert "records=" in err
-    assert out_path.read_text().startswith("graph6\t")
 
 
 def test_search_worker_count_is_invisible_in_output(monkeypatch, capsys):

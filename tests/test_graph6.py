@@ -87,6 +87,13 @@ def test_long_form_below_63_rejected():
         from_graph6("~??Bw")
 
 
+def test_order_above_limit_rejected_before_edge_data():
+    # "~@MG" spells order 5000; the limit is checked before any edge byte is read
+    with pytest.raises(Graph6ParseError, match="exceeds the limit of 4096") as exc:
+        from_graph6("~@MG")
+    assert str(exc.value).startswith("parse error at byte 1: ")
+
+
 def test_empty_string_rejected():
     with pytest.raises(Graph6ParseError, match="parse error at byte 0"):
         from_graph6("")

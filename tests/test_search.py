@@ -255,8 +255,9 @@ def test_config_validation():
         SearchConfig(n_min=3, n_max=2)
     with pytest.raises(ValueError):
         SearchConfig(n_min=1, n_max=9)
-    with pytest.raises(ValueError):
-        SearchConfig(eq_tol=0.0)
+    for eq_tol in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="eq_tol"):
+            SearchConfig(eq_tol=eq_tol)
     with pytest.raises(ValueError):
         SearchConfig(sigma_policy="some")
 
