@@ -9,13 +9,10 @@ for loop placements that leave the energy unchanged.
 """
 
 from .energy import (
-    ConditionCheck,
     EnergyReport,
     TheoremVerdict,
-    energy_gap,
     energy_looped,
     energy_simple,
-    theorem1_condition,
     union_family_energy,
     verify_theorem1,
     verify_theorem2,
@@ -64,7 +61,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CharPoly",
-    "ConditionCheck",
     "ConvergenceError",
     "EnergyReport",
     "Graph",
@@ -83,7 +79,6 @@ __all__ = [
     "disjoint_union",
     "eigenvalues",
     "empty_graph",
-    "energy_gap",
     "energy_looped",
     "energy_simple",
     "enumerate_graphs",
@@ -95,7 +90,6 @@ __all__ = [
     "relabel",
     "relabel_looped",
     "scan",
-    "theorem1_condition",
     "to_graph6",
     "union_family_energy",
     "union_looped",

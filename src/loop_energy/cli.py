@@ -19,7 +19,7 @@ import sys
 from typing import Iterable, Iterator, Sequence, TextIO
 
 from . import search as search_mod
-from .energy import TheoremVerdict, energy_looped, verify_theorem2
+from .energy import TheoremVerdict, check_copy_counts, energy_looped, verify_theorem2
 from .graph6 import LoopFileParseError, read_looped_graphs, write_looped_graphs
 from .graphs import Graph, LoopedGraph, adjacency_matrix, with_loops
 from .search import SearchConfig, fmt10, to_jsonl, to_tsv
@@ -87,6 +87,7 @@ def _print_verdict(verdict: TheoremVerdict) -> int:
 
 
 def _cmd_verify(args) -> int:
+    check_copy_counts(args.p, args.q)  # before the input is read
     return _print_verdict(verify_theorem2(_single_simple_graph(args.input), args.p, args.q))
 
 
@@ -98,7 +99,7 @@ def _workers() -> int:
         raise ValueError(f"{ENV_THREADS} must be an integer, got {raw!r}") from None
     if value < 0:
         raise ValueError(f"{ENV_THREADS} must be >= 0, got {value}")
-    return value if value > 0 else (os.cpu_count() or 1)
+    return value
 
 
 def _cmd_search(args) -> int:
@@ -109,11 +110,6 @@ def _cmd_search(args) -> int:
             raise ValueError(
                 "--sigma all does not apply to --family thm1: every union "
                 "carries loops on exactly n of its 2n vertices"
-            )
-        if workers > 1:
-            raise ValueError(
-                f"{ENV_THREADS}={os.environ[ENV_THREADS]} does not apply to "
-                "--family thm1, which runs in one process; unset it or set it to 1"
             )
         # flags give the order of the emitted union; the base graph is half that
         n_min, n_max = (n_min + 1) // 2, n_max // 2
@@ -133,7 +129,7 @@ def _cmd_search(args) -> int:
             connected_only=args.connected,
         )
         if args.family == "thm1":
-            records = search_mod.find_theorem_family_instances(config)
+            records = search_mod.find_theorem_family_instances(config, workers=workers)
         else:
             records = search_mod.scan(config, workers=workers)
 

@@ -16,7 +16,7 @@ and the gap instead of refusing.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .graphs import (
     Graph,
@@ -45,20 +45,6 @@ class EnergyReport:
     spectrum: Spectrum
     shift: float
     energy: float
-
-
-@dataclass(frozen=True)
-class ConditionCheck:
-    """Outcome of an eigenvalue-magnitude condition on a base graph.
-
-    `witness` is an eigenvalue violating the condition (present iff it fails);
-    `boundary` flags eigenvalues within CONDITION_TOL of the threshold, where
-    floating point cannot settle the comparison.
-    """
-
-    holds: bool
-    witness: float | None
-    boundary: bool
 
 
 @dataclass(frozen=True)
@@ -92,23 +78,13 @@ def energy_looped(lg: LoopedGraph) -> EnergyReport:
     return _report(lg.n, lg.sigma, eigenvalues(adjacency_matrix(lg)))
 
 
-def _check_condition(spectrum: Spectrum, threshold: float) -> ConditionCheck:
-    holds = True
-    witness = None
-    boundary = False
-    for v in spectrum:
-        if abs(abs(v) - threshold) <= CONDITION_TOL:
-            boundary = True
-        if abs(v) < threshold - CONDITION_TOL:
-            if witness is None or abs(v) < abs(witness):
-                witness = v
-            holds = False
-    return ConditionCheck(holds=holds, witness=witness, boundary=boundary)
-
-
-def theorem1_condition(g: Graph) -> ConditionCheck:
-    """Does every eigenvalue of g satisfy |lambda| >= 1/2?"""
-    return _check_condition(eigenvalues(adjacency_matrix(g)), 0.5)
+def check_copy_counts(p: int, q: int) -> int:
+    """Validate p plain and q fully-looped copies; returns m = p + q."""
+    if p < 0 or q < 0:
+        raise ValueError("copy counts must be nonnegative")
+    if p + q < 1:
+        raise ValueError("need at least one copy (p + q >= 1)")
+    return p + q
 
 
 def verify_theorem1(g: Graph) -> TheoremVerdict:
@@ -136,32 +112,31 @@ def _union_family_verdict(g: Graph, p: int, q: int) -> tuple[LoopedGraph, Theore
     m * E(g); the union as built gives the left side. A union above
     MAX_MATRIX_ORDER raises ValueError before any copy is built.
     """
-    if p < 0 or q < 0:
-        raise ValueError("copy counts must be nonnegative")
-    m = p + q
-    if m < 1:
-        raise ValueError("need at least one copy (p + q >= 1)")
+    m = check_copy_counts(p, q)
     check_matrix_order(m * g.n)
     base = energy_simple(g)
     threshold = max(p, q) / m
-    condition = _check_condition(base.spectrum, threshold)
+    # the witness is the first eigenvalue of least |lambda| below the threshold;
+    # boundary flags eigenvalues too close to the threshold to settle in floats
+    witness = None
+    boundary = False
+    for v in base.spectrum:
+        if abs(abs(v) - threshold) <= CONDITION_TOL:
+            boundary = True
+        if abs(v) < threshold - CONDITION_TOL and (witness is None or abs(v) < abs(witness)):
+            witness = v
     parts = [with_loops(g, ()) for _ in range(p)] + [with_all_loops(g) for _ in range(q)]
     union = union_looped(parts)
     lhs = energy_looped(union).energy
     rhs = m * base.energy
     return union, TheoremVerdict(
-        condition_holds=condition.holds,
+        condition_holds=witness is None,
         lhs_energy=lhs,
         rhs_energy=rhs,
         abs_gap=abs(lhs - rhs),
-        witness=condition.witness,
-        boundary=condition.boundary,
+        witness=witness,
+        boundary=boundary,
     )
-
-
-def energy_gap(g: Graph, loops: Iterable[int]) -> float:
-    """Signed difference E(g with loops) - E(g); zero iff the energies agree."""
-    return energy_looped(with_loops(g, loops)).energy - energy_simple(g).energy
 
 
 def union_family_energy(base_spectrum: Spectrum | Sequence[float], p: int, q: int) -> float:
@@ -171,9 +146,5 @@ def union_family_energy(base_spectrum: Spectrum | Sequence[float], p: int, q: in
     its energy is sum_i p|lambda_i - q/m| + q|lambda_i + p/m|. Kept separate
     from the verifiers as an independent cross-check route.
     """
-    if p < 0 or q < 0:
-        raise ValueError("copy counts must be nonnegative")
-    m = p + q
-    if m < 1:
-        raise ValueError("need at least one copy (p + q >= 1)")
+    m = check_copy_counts(p, q)
     return float(sum(p * abs(v - q / m) + q * abs(v + p / m) for v in base_spectrum))

@@ -16,7 +16,7 @@ from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations, islice
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .energy import _union_family_verdict, energy_looped, energy_simple
 from .graph6 import to_graph6
@@ -78,6 +78,10 @@ class SearchRecord:
     condition_met: bool | None = None
 
 
+# the records of one graph; the scan and the thm1 family each supply one
+PerGraph = Callable[[Graph, SearchConfig], list[SearchRecord]]
+
+
 def enumerate_graphs(n: int, connected_only: bool = False) -> Iterator[Graph]:
     """All 2^C(n,2) labeled graphs on n vertices, in edge-bitmask order.
 
@@ -108,6 +112,13 @@ def _loop_masks(n: int, sigma_policy: str) -> range:
     return range(1, (1 << n) - 1)  # interior: exclude the empty and full sets
 
 
+def _record(graph6: str, loops: tuple, n: int, e_simple: float, e_looped: float,
+            eq_tol: float, condition_met: bool | None = None) -> SearchRecord:
+    label, suspect, gap = _classify(e_simple, e_looped, eq_tol)
+    return SearchRecord(graph6, loops, len(loops), n, e_simple, e_looped, gap, label,
+                        suspect, condition_met)
+
+
 def _scan_one_graph(g: Graph, config: SearchConfig) -> list[SearchRecord]:
     g6 = to_graph6(g)
     e_simple = energy_simple(g).energy
@@ -115,39 +126,27 @@ def _scan_one_graph(g: Graph, config: SearchConfig) -> list[SearchRecord]:
     for loop_mask in _loop_masks(g.n, config.sigma_policy):
         loops = tuple(i for i in range(g.n) if (loop_mask >> i) & 1)
         e_looped = energy_looped(with_loops(g, loops)).energy
-        label, suspect, gap = _classify(e_simple, e_looped, config.eq_tol)
-        records.append(
-            SearchRecord(
-                graph6=g6,
-                loops=loops,
-                sigma=len(loops),
-                n=g.n,
-                e_simple=e_simple,
-                e_looped=e_looped,
-                gap=gap,
-                classification=label,
-                suspect=suspect,
-            )
-        )
+        records.append(_record(g6, loops, g.n, e_simple, e_looped, config.eq_tol))
     return records
 
 
-def _scan_chunk(args: tuple[SearchConfig, Sequence[Graph]]) -> list[SearchRecord]:
-    config, graphs = args
+def _family_one_graph(g: Graph, config: SearchConfig) -> list[SearchRecord]:
+    union, verdict = _union_family_verdict(g, 1, 1)
+    return [_record(to_graph6(union.base), tuple(union.sorted_loops()), union.n,
+                    verdict.rhs_energy, verdict.lhs_energy, config.eq_tol,
+                    condition_met=verdict.condition_holds)]
+
+
+def _scan_chunk(args: tuple[PerGraph, SearchConfig, Sequence[Graph]]) -> list[SearchRecord]:
+    per_graph, config, graphs = args
     out: list[SearchRecord] = []
     for g in graphs:
-        out.extend(_scan_one_graph(g, config))
+        out.extend(per_graph(g, config))
     return out
 
 
-def scan(config: SearchConfig, workers: int = 1) -> Iterator[SearchRecord]:
-    """Stream records for every enumerated graph and allowed loop subset.
-
-    `workers` > 1 partitions the graph stream across processes; the output
-    order (and bytes, once rendered) is identical for any worker count.
-    Graphs are drawn as they are needed: at most 2 * workers chunks are in
-    flight, so memory does not grow with the 2^C(n,2) graphs of an order.
-    """
+def _stream(config: SearchConfig, workers: int, per_graph: PerGraph) -> Iterator[SearchRecord]:
+    """per_graph(g, config) for every enumerated graph g, in enumeration order."""
     if workers is None or workers < 1:
         workers = os.cpu_count() or 1
     for n in range(config.n_min, config.n_max + 1):
@@ -155,7 +154,7 @@ def scan(config: SearchConfig, workers: int = 1) -> Iterator[SearchRecord]:
         total = 1 << (n * (n - 1) // 2)
         if workers == 1 or total < 4 * workers:
             for g in graphs:
-                yield from _scan_one_graph(g, config)
+                yield from per_graph(g, config)
             continue
         # at most 64 graphs a chunk: the records in flight stay bounded at any order
         size = max(1, min(64, total // (workers * 8)))
@@ -164,14 +163,28 @@ def scan(config: SearchConfig, workers: int = 1) -> Iterator[SearchRecord]:
             while chunk := list(islice(graphs, size)):
                 # a map of one job submits it at once; map, not submit, so that
                 # perfbench/traced.py still times the wait on its results
-                pending.append(pool.map(_scan_chunk, [(config, chunk)]))
+                pending.append(pool.map(_scan_chunk, [(per_graph, config, chunk)]))
                 if len(pending) == 2 * workers:
                     yield from next(pending.popleft())
             while pending:
                 yield from next(pending.popleft())
 
 
-def find_theorem_family_instances(config: SearchConfig) -> Iterator[SearchRecord]:
+def scan(config: SearchConfig, workers: int = 1) -> Iterator[SearchRecord]:
+    """Stream records for every enumerated graph and allowed loop subset.
+
+    `workers` > 1 partitions the graph stream across processes, and 0 uses one
+    per CPU; the output order (and bytes, once rendered) is identical for any
+    worker count. Graphs are drawn as they are needed: at most 2 * workers
+    chunks are in flight, so memory does not grow with the 2^C(n,2) graphs of
+    an order.
+    """
+    return _stream(config, workers, _scan_one_graph)
+
+
+def find_theorem_family_instances(
+    config: SearchConfig, workers: int = 1
+) -> Iterator[SearchRecord]:
     """Restricted scan over unions of a base graph with its fully-looped copy.
 
     Enumerates base graphs G with n in the config range, builds G union G^l
@@ -179,7 +192,8 @@ def find_theorem_family_instances(config: SearchConfig) -> Iterator[SearchRecord
     |lambda| >= 1/2 condition held for G. Each record is the verify_theorem1
     verdict of G: e_simple is 2 E(G) from the spectrum of G, and e_looped is
     solved from the union as built. Condition-true records must come out
-    EQUAL; anything else is a defect in the energy pipeline.
+    EQUAL; anything else is a defect in the energy pipeline. `workers` is as
+    for scan: the base graphs stream through the same process pool.
 
     The family fixes the loop set (n loops on 2n vertices), so a config with
     sigma_policy "all" raises ValueError here, before any record is produced.
@@ -189,28 +203,7 @@ def find_theorem_family_instances(config: SearchConfig) -> Iterator[SearchRecord
             f"sigma_policy {config.sigma_policy!r} does not apply to the theorem-1 "
             "family: every union carries loops on exactly n of its 2n vertices"
         )
-    return _family_records(config)
-
-
-def _family_records(config: SearchConfig) -> Iterator[SearchRecord]:
-    for n in range(config.n_min, config.n_max + 1):
-        for g in enumerate_graphs(n, config.connected_only):
-            union, verdict = _union_family_verdict(g, 1, 1)
-            e_simple = verdict.rhs_energy
-            e_looped = verdict.lhs_energy
-            label, suspect, gap = _classify(e_simple, e_looped, config.eq_tol)
-            yield SearchRecord(
-                graph6=to_graph6(union.base),
-                loops=tuple(union.sorted_loops()),
-                sigma=union.sigma,
-                n=union.n,
-                e_simple=e_simple,
-                e_looped=e_looped,
-                gap=gap,
-                classification=label,
-                suspect=suspect,
-                condition_met=verdict.condition_holds,
-            )
+    return _stream(config, workers, _family_one_graph)
 
 
 def fmt10(x: float) -> str:

@@ -117,11 +117,10 @@ def test_order_above_limit_is_rejected_at_its_length_bytes(tmp_path, capsys):
         (None, ["search", "--n-min", "0"]),
         (None, ["search", "--eq-tol", "inf"]),
         ("lots", ["search", "--n-max", "2"]),
-        ("2", ["search", "--family", "thm1", "--n-max", "4"]),
         (None, ["verify-thm2", "-p", "0", "-q", "0", "TRIANGLE_FILE"]),
     ],
     ids=["large-scan", "family-sigma-all", "n-min-0", "eq-tol-inf", "threads-lots",
-         "family-threads-2", "verify-no-copies"],
+         "verify-no-copies"],
 )
 def test_errors_inside_a_command_print_one_line(tmp_path, capsys, monkeypatch, threads, argv):
     # argparse reports malformed command lines; anything after parsing is a
@@ -174,6 +173,14 @@ def test_verify_thm2_rejects_zero_copies(tmp_path, capsys):
     code, _, err = run_cli(["verify-thm2", path, "-p", "0", "-q", "0"], capsys=capsys)
     assert code == 2
     assert "p + q >= 1" in err
+
+
+def test_verify_thm2_checks_copy_counts_before_reading_input(tmp_path, capsys):
+    path = write(tmp_path, "empty", "")
+    code, out, err = run_cli(["verify-thm2", path, "-p", "-1", "-q", "2"], capsys=capsys)
+    assert code == 2
+    assert out == ""
+    assert "copy counts must be nonnegative" in err
 
 
 def test_verify_thm2_rejects_union_above_order_limit(tmp_path, capsys):
@@ -236,16 +243,15 @@ def test_search_family_rejects_sigma_all(capsys):
     assert "--sigma all does not apply to --family thm1" in err
 
 
-@pytest.mark.parametrize("threads, expected", [("2", 2), ("1", 0)])
-def test_search_family_rejects_more_than_one_worker(monkeypatch, capsys, threads, expected):
-    monkeypatch.setenv("LOOP_ENERGY_THREADS", threads)
-    code, out, err = run_cli(["search", "--family", "thm1", "--n-max", "4"], capsys=capsys)
-    assert code == expected
-    if expected:
-        assert out == ""
-        assert "LOOP_ENERGY_THREADS" in err
-    else:
-        assert out.startswith("graph6\t")
+def test_search_family_worker_count_is_invisible_in_output(monkeypatch, capsys):
+    argv = ["search", "--family", "thm1", "--n-max", "8"]
+    monkeypatch.setenv("LOOP_ENERGY_THREADS", "1")
+    code1, out1, err1 = run_cli(argv, capsys=capsys)
+    monkeypatch.setenv("LOOP_ENERGY_THREADS", "2")
+    code2, out2, err2 = run_cli(argv, capsys=capsys)
+    assert code1 == code2 == 0
+    assert out1 == out2 and err1 == err2
+    assert "records=75" in err1
 
 
 def test_search_jsonl_output(capsys):

@@ -10,13 +10,11 @@ from loop_energy import (
     complete_graph,
     disjoint_union,
     empty_graph,
-    energy_gap,
     energy_looped,
     energy_simple,
     enumerate_graphs,
     path_graph,
     relabel_looped,
-    theorem1_condition,
     union_family_energy,
     union_looped,
     verify_theorem1,
@@ -78,18 +76,18 @@ def test_report_energy_recomputable_from_fields(lg):
 
 
 def test_condition_on_triangle_holds():
-    check = theorem1_condition(complete_graph(3))
-    assert check.holds and check.witness is None
+    verdict = verify_theorem1(complete_graph(3))
+    assert verdict.condition_holds and verdict.witness is None
 
 
 def test_condition_on_three_path_fails_with_zero_witness():
-    check = theorem1_condition(path_graph(3))
-    assert not check.holds
-    assert abs(check.witness) <= 1e-9
+    verdict = verify_theorem1(path_graph(3))
+    assert not verdict.condition_holds
+    assert abs(verdict.witness) <= 1e-9
 
 
 def test_condition_on_single_edge_holds():
-    assert theorem1_condition(complete_graph(2)).holds
+    assert verify_theorem1(complete_graph(2)).condition_holds
 
 
 def test_verify_doubling_on_triangle():
@@ -154,16 +152,15 @@ def test_verify_theorem2_rejects_union_above_order_limit(monkeypatch):
         verify_theorem2(complete_graph(2), 2049, 0)
 
 
+def _energy_gap(g, loops):
+    return energy_looped(with_loops(g, loops)).energy - energy_simple(g).energy
+
+
 def test_energy_gap_examples():
     h = disjoint_union(complete_graph(3), complete_graph(3))
-    assert abs(energy_gap(h, {3, 4, 5})) <= 1e-8
-    assert abs(energy_gap(path_graph(4), ())) <= 1e-9
-    assert abs(energy_gap(complete_graph(2), {0}) - (math.sqrt(5) - 2)) <= 1e-9
-
-
-def test_energy_gap_propagates_bad_loops():
-    with pytest.raises(ValueError):
-        energy_gap(path_graph(3), {7})
+    assert abs(_energy_gap(h, {3, 4, 5})) <= 1e-8
+    assert abs(_energy_gap(path_graph(4), ())) <= 1e-9
+    assert abs(_energy_gap(complete_graph(2), {0}) - (math.sqrt(5) - 2)) <= 1e-9
 
 
 def test_closed_form_union_energy_matches_pipeline():

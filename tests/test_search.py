@@ -12,7 +12,8 @@ from loop_energy import (
     SearchRecord,
     complete_graph,
     disjoint_union,
-    energy_gap,
+    energy_looped,
+    energy_simple,
     enumerate_graphs,
     find_theorem_family_instances,
     from_graph6,
@@ -114,8 +115,13 @@ def test_scan_to_order_four_matches_golden_digest(workers):
     assert hashlib.sha256(tsv.encode("ascii")).hexdigest().startswith("61d229e17d63c75b")
 
 
-@pytest.mark.parametrize("n, workers", [(5, 1), (5, 2), (6, 2)])
-def test_scan_draws_graphs_as_it_needs_them(monkeypatch, n, workers):
+@pytest.mark.parametrize(
+    "stream, n, workers",
+    [(scan, 5, 1), (scan, 5, 2), (scan, 6, 2),
+     (find_theorem_family_instances, 5, 1), (find_theorem_family_instances, 5, 2)],
+    ids=["5-1", "5-2", "6-2", "family-5-1", "family-5-2"],
+)
+def test_scan_draws_graphs_as_it_needs_them(monkeypatch, stream, n, workers):
     drawn = []
     enumerate_all = search.enumerate_graphs
 
@@ -125,10 +131,12 @@ def test_scan_draws_graphs_as_it_needs_them(monkeypatch, n, workers):
             yield g
 
     monkeypatch.setattr(search, "enumerate_graphs", counting)
-    records = scan(SearchConfig(n_min=n, n_max=n), workers=workers)
+    records = stream(SearchConfig(n_min=n, n_max=n), workers=workers)
     first = next(records)
     records.close()
-    assert first.graph6 == to_graph6(next(enumerate_all(n)))
+    g = next(enumerate_all(n))
+    expected = g if stream is scan else disjoint_union(g, g)
+    assert first.graph6 == to_graph6(expected)
     # the pool reads at most 2 * workers chunks of at most 64 graphs each
     assert len(drawn) <= 256
 
@@ -144,6 +152,20 @@ def test_scan_connected_only_keeps_the_connected_records(workers):
     kept = list(scan(SearchConfig(n_max=4, connected_only=True), workers=workers))
     assert kept == [r for r in every if _connected(r.graph6, r.n)]
     assert {r.graph6 for r in kept} != {r.graph6 for r in every}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize(
+    "render, digest",
+    [(to_jsonl, "cfec8b603e1e18be"), (lambda records: to_tsv(records, True), "773c3f193caefc26")],
+    ids=["jsonl", "tsv"],
+)
+def test_family_to_union_order_eight_matches_golden_digest(render, digest, workers):
+    # sha256 of `search --family thm1 --n-min 2 --n-max 8` stdout; Jacobi solves
+    # every matrix up to order 8, so the bytes do not depend on the LAPACK build
+    records = find_theorem_family_instances(SearchConfig(n_min=1, n_max=4), workers=workers)
+    text = "".join(line + "\n" for line in render(records))
+    assert hashlib.sha256(text.encode("ascii")).hexdigest().startswith(digest)
 
 
 def test_family_scan_connected_only_keeps_the_connected_bases():
@@ -234,10 +256,12 @@ def test_family_scan_solves_twice_per_record(monkeypatch):
 
 
 def test_classification_is_relabeling_invariant():
+    def gap(g, loops):
+        return energy_looped(with_loops(g, loops)).energy - energy_simple(g).energy
+
     g = complete_graph(2)
-    gap = energy_gap(g, {0})
     permuted = relabel(g, [1, 0])
-    assert abs(energy_gap(permuted, {1}) - gap) <= 1e-9
+    assert abs(gap(permuted, {1}) - gap(g, {0})) <= 1e-9
 
 
 def test_classify_bands():
