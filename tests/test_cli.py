@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import shutil
@@ -243,15 +244,17 @@ def test_search_family_rejects_sigma_all(capsys):
     assert "--sigma all does not apply to --family thm1" in err
 
 
-def test_search_family_worker_count_is_invisible_in_output(monkeypatch, capsys):
-    argv = ["search", "--family", "thm1", "--n-max", "8"]
-    monkeypatch.setenv("LOOP_ENERGY_THREADS", "1")
-    code1, out1, err1 = run_cli(argv, capsys=capsys)
-    monkeypatch.setenv("LOOP_ENERGY_THREADS", "2")
-    code2, out2, err2 = run_cli(argv, capsys=capsys)
-    assert code1 == code2 == 0
-    assert out1 == out2 and err1 == err2
-    assert "records=75" in err1
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_search_family_stdout_matches_golden_digest(monkeypatch, capsys, threads):
+    # every worker count must print the same bytes: the golden TSV digest of
+    # tests/test_search.py::test_family_to_union_order_eight_matches_golden_digest
+    monkeypatch.setenv("LOOP_ENERGY_THREADS", threads)
+    code, out, err = run_cli(
+        ["search", "--family", "thm1", "--n-min", "2", "--n-max", "8"], capsys=capsys
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode("ascii")).hexdigest().startswith("773c3f193caefc26")
+    assert err.startswith("records=75 EQUAL=18 ")
 
 
 def test_search_jsonl_output(capsys):
