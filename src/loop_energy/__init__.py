@@ -50,7 +50,6 @@ from .search import (
 )
 from .spectra import (
     CharPoly,
-    ConvergenceError,
     Spectrum,
     SymmetricMatrix,
     char_poly,
@@ -61,7 +60,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CharPoly",
-    "ConvergenceError",
     "EnergyReport",
     "Graph",
     "Graph6ParseError",

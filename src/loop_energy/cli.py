@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 from typing import Iterable, Iterator, Sequence, TextIO
 
 from . import search as search_mod
@@ -118,16 +119,13 @@ def _cmd_search(args) -> int:
             f"scanning graphs of order {n_max} visits 2^C({n_max},2) graphs "
             f"(2^28 at order 8); pass --force-large to acknowledge the runtime"
         )
+    # built on every path, so an empty family range still checks every flag
+    config = SearchConfig(sigma_policy=args.sigma, eq_tol=args.eq_tol,
+                          connected_only=args.connected)
     if args.family == "thm1" and n_min > n_max:  # no even union order in range
         records: Iterator[search_mod.SearchRecord] = iter(())
     else:
-        config = SearchConfig(
-            n_min=n_min,
-            n_max=n_max,
-            sigma_policy=args.sigma,
-            eq_tol=args.eq_tol,
-            connected_only=args.connected,
-        )
+        config = replace(config, n_min=n_min, n_max=n_max)
         if args.family == "thm1":
             records = search_mod.find_theorem_family_instances(config, workers=workers)
         else:

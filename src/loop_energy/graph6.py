@@ -43,6 +43,13 @@ def _value(s: str, pos: int) -> int:
     return b - 63
 
 
+def _pairs(n: int) -> Iterator[tuple[int, int]]:
+    # the vertex pairs i < j in graph6 bit order: column by column
+    for j in range(1, n):
+        for i in range(j):
+            yield i, j
+
+
 def _checked_order(n: int, offset: int) -> int:
     try:
         check_matrix_order(n)
@@ -83,25 +90,18 @@ def from_graph6(text: str) -> Graph:
     if pos >= len(s):
         raise Graph6ParseError("empty graph6 string", pos)
     n, pos = _parse_order(s, pos)
-    nbits = n * (n - 1) // 2
-    nbytes = (nbits + 5) // 6
-    for k in range(pos, len(s)):
-        _value(s, k)  # flag any out-of-alphabet byte at its own offset
-    if len(s) - pos < nbytes:
+    nbytes = (n * (n - 1) // 2 + 5) // 6
+    # every byte is decoded before the length checks, so an out-of-alphabet
+    # byte is flagged at its own offset
+    groups = [_value(s, k) for k in range(pos, len(s))]
+    if len(groups) < nbytes:
         raise Graph6ParseError(
-            f"truncated edge data: need {nbytes} bytes, have {len(s) - pos}", len(s)
+            f"truncated edge data: need {nbytes} bytes, have {len(groups)}", len(s)
         )
-    if len(s) - pos > nbytes:
+    if len(groups) > nbytes:
         raise Graph6ParseError("trailing bytes after edge data", pos + nbytes)
-    edges = set()
-    bit = 0
-    for j in range(1, n):
-        for i in range(j):
-            group = _value(s, pos + bit // 6)
-            if (group >> (5 - bit % 6)) & 1:
-                edges.add((i, j))
-            bit += 1
-    return Graph(n, frozenset(edges))
+    bits = "".join(f"{group:06b}" for group in groups)
+    return Graph(n, frozenset(pair for pair, bit in zip(_pairs(n), bits) if bit == "1"))
 
 
 def to_graph6(g: Graph) -> str:
@@ -113,18 +113,9 @@ def to_graph6(g: Graph) -> str:
         out = [chr(n + 63)]
     else:
         out = ["~", chr(((n >> 12) & 63) + 63), chr(((n >> 6) & 63) + 63), chr((n & 63) + 63)]
-    group = 0
-    filled = 0
-    for j in range(1, n):
-        for i in range(j):
-            group = (group << 1) | (1 if g.has_edge(i, j) else 0)
-            filled += 1
-            if filled == 6:
-                out.append(chr(group + 63))
-                group = 0
-                filled = 0
-    if filled:
-        out.append(chr((group << (6 - filled)) + 63))
+    bits = "".join("1" if g.has_edge(i, j) else "0" for i, j in _pairs(n))
+    bits += "0" * (-len(bits) % 6)  # zero padding to a whole byte
+    out.extend(chr(int(bits[k:k + 6], 2) + 63) for k in range(0, len(bits), 6))
     return "".join(out)
 
 

@@ -158,7 +158,8 @@ def _stream(config: SearchConfig, workers: int, per_graph: PerGraph) -> Iterator
             continue
         # at most 64 graphs a chunk: the records in flight stay bounded at any order
         size = max(1, min(64, total // (workers * 8)))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        pool = ProcessPoolExecutor(max_workers=workers)
+        try:
             pending = deque()
             while chunk := list(islice(graphs, size)):
                 # a map of one job submits it at once; map, not submit, so that
@@ -168,6 +169,10 @@ def _stream(config: SearchConfig, workers: int, per_graph: PerGraph) -> Iterator
                     yield from next(pending.popleft())
             while pending:
                 yield from next(pending.popleft())
+        finally:
+            # closing the stream early returns at once: queued chunks are
+            # cancelled, and the workers finish the ones they hold on their own
+            pool.shutdown(wait=False, cancel_futures=True)
 
 
 def scan(config: SearchConfig, workers: int = 1) -> Iterator[SearchRecord]:

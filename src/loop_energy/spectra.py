@@ -3,8 +3,10 @@
 Matrices of order above JACOBI_MAX_ORDER (8) are solved by LAPACK through
 numpy.linalg. Orders up to 8, which cover every matrix the exhaustive scan
 solves, use cyclic Jacobi rotations in pure Python; they converge
-unconditionally for symmetric input. Adjacency matrices are limited to order
-4,096 (graphs.MAX_MATRIX_ORDER).
+unconditionally for symmetric input. Either backend raises
+numpy.linalg.LinAlgError if it fails. SymmetricMatrix rejects NaN and
+infinite entries, so neither backend sees them. Adjacency matrices are
+limited to order 4,096 (graphs.MAX_MATRIX_ORDER).
 
 Characteristic polynomials use Berkowitz's division-free recurrence, so for
 integer matrices the coefficients are exact Python integers by construction,
@@ -26,18 +28,6 @@ SWEEP_CAP = 100
 CONVERGENCE_RTOL = 1e-12
 
 
-class ConvergenceError(RuntimeError):
-    """Raised when the Jacobi sweeps hit the cap before annihilating the off-diagonal."""
-
-    def __init__(self, off_diagonal_norm: float, sweeps: int):
-        super().__init__(
-            f"eigensolver did not converge after {sweeps} sweeps; "
-            f"off-diagonal norm reached {off_diagonal_norm:.6e}"
-        )
-        self.off_diagonal_norm = off_diagonal_norm
-        self.sweeps = sweeps
-
-
 @dataclass(frozen=True, eq=False)
 class SymmetricMatrix:
     """Dense square real matrix, symmetric by construction (checked exactly)."""
@@ -48,6 +38,8 @@ class SymmetricMatrix:
         a = np.array(self.data, copy=True)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise ValueError(f"matrix must be square, got shape {a.shape}")
+        if not np.isfinite(a).all():
+            raise ValueError("matrix entries must be finite")
         if not np.array_equal(a, a.T):
             raise ValueError("matrix must be symmetric")
         a.setflags(write=False)
@@ -56,9 +48,6 @@ class SymmetricMatrix:
     @property
     def n(self) -> int:
         return self.data.shape[0]
-
-    def trace(self):
-        return self.data.trace()
 
     def frobenius_norm(self) -> float:
         return float(np.sqrt((self.data.astype(np.float64) ** 2).sum()))
@@ -83,10 +72,6 @@ class Spectrum:
     def __getitem__(self, i):
         return self.values[i]
 
-    def min_abs(self) -> float:
-        """Smallest eigenvalue magnitude (inf for the empty spectrum)."""
-        return min((abs(v) for v in self.values), default=math.inf)
-
 
 @dataclass(frozen=True)
 class CharPoly:
@@ -98,10 +83,6 @@ class CharPoly:
         if not self.coefficients or self.coefficients[0] != 1:
             raise ValueError("characteristic polynomial must be monic")
 
-    @property
-    def degree(self) -> int:
-        return len(self.coefficients) - 1
-
     def evaluate(self, x):
         acc = self.coefficients[0]
         for c in self.coefficients[1:]:
@@ -109,10 +90,10 @@ class CharPoly:
         return acc
 
 
-def _jacobi_sweeps(a, v, accumulate, max_sweeps, tol):
-    # Cyclic-by-row Jacobi. Mutates `a` toward diagonal form and, when
-    # `accumulate` is set, collects the rotations into the columns of `v`
-    # so that original A = v @ diag(a) @ v.T.
+def _jacobi_sweeps(a, tol, v=None):
+    # Cyclic-by-row Jacobi, at most SWEEP_CAP sweeps. Mutates `a` toward
+    # diagonal form and, when `v` is given, collects the rotations into its
+    # columns so that original A = v @ diag(a) @ v.T.
     n = a.shape[0]
     sweeps = 0
     while True:
@@ -123,7 +104,7 @@ def _jacobi_sweeps(a, v, accumulate, max_sweeps, tol):
         off = math.sqrt(off)
         if off <= tol:
             return off, sweeps, True
-        if sweeps >= max_sweeps:
+        if sweeps >= SWEEP_CAP:
             return off, sweeps, False
         for p in range(n - 1):
             for q in range(p + 1, n):
@@ -152,7 +133,7 @@ def _jacobi_sweeps(a, v, accumulate, max_sweeps, tol):
                         a[p, k] = a[k, p]
                         a[k, q] = s * akp + c * akq
                         a[q, k] = a[k, q]
-                if accumulate:
+                if v is not None:
                     for k in range(n):
                         vkp = v[k, p]
                         vkq = v[k, q]
@@ -161,19 +142,16 @@ def _jacobi_sweeps(a, v, accumulate, max_sweeps, tol):
         sweeps += 1
 
 
-def _eigh(m: SymmetricMatrix, accumulate: bool = True, max_sweeps: int = SWEEP_CAP):
+def _eigh(m: SymmetricMatrix, accumulate: bool = True):
     """Eigenvalues (descending) and matching eigenvector columns.
 
     Internal: the public result type carries no eigenvectors; tests use them
-    for residual checks. Above JACOBI_MAX_ORDER, LAPACK solves the matrix
-    (numpy.linalg.LinAlgError on failure) and `max_sweeps` does not apply;
-    without `accumulate` no eigenvectors are computed there and None is
-    returned in their place.
+    for residual checks. Without `accumulate` no eigenvectors are computed
+    and None is returned in their place. Above JACOBI_MAX_ORDER, LAPACK
+    solves the matrix.
     """
     a = np.array(m.data, dtype=np.float64)
     n = a.shape[0]
-    if n == 0:
-        return np.empty(0), np.empty((0, 0))
     if n > JACOBI_MAX_ORDER:
         if not accumulate:
             return np.linalg.eigvalsh(a)[::-1], None
@@ -181,19 +159,20 @@ def _eigh(m: SymmetricMatrix, accumulate: bool = True, max_sweeps: int = SWEEP_C
         return w[::-1], v[:, ::-1]
     fro = math.sqrt(float((a * a).sum()))
     tol = CONVERGENCE_RTOL * (1.0 + fro)
-    v = np.eye(n)
-    off, sweeps, converged = _jacobi_sweeps(a, v, accumulate, max_sweeps, tol)
+    v = np.eye(n) if accumulate else None
+    off, sweeps, converged = _jacobi_sweeps(a, tol, v)
     if not converged:
-        raise ConvergenceError(off, sweeps)
-    w = np.diag(a).copy()
+        raise np.linalg.LinAlgError(
+            f"eigensolver did not converge after {sweeps} sweeps; "
+            f"off-diagonal norm reached {off:.6e}"
+        )
+    w = np.diag(a)
     order = np.argsort(-w, kind="stable")
-    return w[order], v[:, order]
+    return w[order], None if v is None else v[:, order]
 
 
 def eigenvalues(m: SymmetricMatrix) -> Spectrum:
     """Full spectrum of a symmetric matrix, sorted descending."""
-    if m.n == 0:
-        return Spectrum(())
     w, _ = _eigh(m, accumulate=False)
     return Spectrum(tuple(float(x) for x in w))
 

@@ -13,6 +13,7 @@ from loop_energy.cli import main
 TRIANGLE = "Bw"            # K_3
 THREE_PATH = "Bg"          # path 0-1-2
 EXAMPLE_UNION = "EwCW"     # two disjoint triangles
+TSV_HEADER = "graph6\tloops\tsigma\tn\te_simple\te_looped\tgap\tclass"
 
 EXAMPLE_MATRIX = [
     "0 1 1 0 0 0",
@@ -117,11 +118,13 @@ def test_order_above_limit_is_rejected_at_its_length_bytes(tmp_path, capsys):
         (None, ["search", "--family", "thm1", "--sigma", "all"]),
         (None, ["search", "--n-min", "0"]),
         (None, ["search", "--eq-tol", "inf"]),
+        (None, ["search", "--family", "thm1", "--n-min", "3", "--n-max", "3", "--eq-tol", "nan"]),
+        (None, ["search", "--family", "thm1", "--n-min", "3", "--n-max", "3", "--eq-tol", "-1"]),
         ("lots", ["search", "--n-max", "2"]),
         (None, ["verify-thm2", "-p", "0", "-q", "0", "TRIANGLE_FILE"]),
     ],
-    ids=["large-scan", "family-sigma-all", "n-min-0", "eq-tol-inf", "threads-lots",
-         "verify-no-copies"],
+    ids=["large-scan", "family-sigma-all", "n-min-0", "eq-tol-inf", "empty-family-eq-tol-nan",
+         "empty-family-eq-tol-negative", "threads-lots", "verify-no-copies"],
 )
 def test_errors_inside_a_command_print_one_line(tmp_path, capsys, monkeypatch, threads, argv):
     # argparse reports malformed command lines; anything after parsing is a
@@ -212,7 +215,7 @@ def test_search_record_count_and_summary(tmp_path, capsys):
 def test_search_interior_at_order_one_is_empty(tmp_path, capsys):
     code, out, _ = run_cli(["search", "--n-max", "1", "--sigma", "interior"], capsys=capsys)
     assert code == 0
-    assert out.strip().splitlines() == ["graph6\tloops\tsigma\tn\te_simple\te_looped\tgap\tclass"]
+    assert out.strip().splitlines() == [TSV_HEADER]
 
 
 def test_search_large_scan_needs_acknowledgement(capsys):
@@ -242,6 +245,22 @@ def test_search_family_rejects_sigma_all(capsys):
     assert code == 2
     assert out == ""
     assert "--sigma all does not apply to --family thm1" in err
+
+
+@pytest.mark.parametrize(
+    "flags, out_expected",
+    [
+        (["--n-min", "3", "--n-max", "3"], TSV_HEADER + "\tcondition_met\n"),
+        (["--n-min", "17", "--n-max", "17", "--force-large"], TSV_HEADER + "\tcondition_met\n"),
+        (["--n-min", "2", "--n-max", "1", "--format", "jsonl"], ""),
+    ],
+    ids=["odd-order", "odd-order-above-cap", "reversed"],
+)
+def test_search_family_range_without_even_order_is_empty(capsys, flags, out_expected):
+    code, out, err = run_cli(["search", "--family", "thm1", *flags], capsys=capsys)
+    assert code == 0
+    assert out == out_expected
+    assert err.startswith("records=0 ")
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])

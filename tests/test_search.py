@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import time
 from itertools import combinations
 
 import networkx as nx
@@ -133,7 +134,10 @@ def test_scan_draws_graphs_as_it_needs_them(monkeypatch, stream, n, workers):
     monkeypatch.setattr(search, "enumerate_graphs", counting)
     records = stream(SearchConfig(n_min=n, n_max=n), workers=workers)
     first = next(records)
+    start = time.perf_counter()
     records.close()
+    # closing does not wait for the chunks still in flight
+    assert time.perf_counter() - start < 0.5
     g = next(enumerate_all(n))
     expected = g if stream is scan else disjoint_union(g, g)
     assert first.graph6 == to_graph6(expected)

@@ -11,7 +11,6 @@ from conftest import graphs, looped_graphs
 from loop_energy import search, spectra
 from loop_energy import (
     CharPoly,
-    ConvergenceError,
     Spectrum,
     SymmetricMatrix,
     adjacency_matrix,
@@ -28,7 +27,7 @@ from loop_energy import (
     with_all_loops,
     with_loops,
 )
-from loop_energy.spectra import CONVERGENCE_RTOL, SWEEP_CAP, _eigh, _jacobi_sweeps
+from loop_energy.spectra import CONVERGENCE_RTOL, _eigh, _jacobi_sweeps
 
 
 def test_symmetric_matrix_rejects_non_square():
@@ -41,6 +40,15 @@ def test_symmetric_matrix_rejects_asymmetric():
         SymmetricMatrix(np.array([[0, 1], [0, 0]]))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("n", [2, 9], ids=["jacobi", "lapack"])
+def test_symmetric_matrix_rejects_non_finite_entries(bad, n):
+    a = np.ones((n, n))
+    a[0, 1] = a[1, 0] = bad
+    with pytest.raises(ValueError, match="finite"):
+        SymmetricMatrix(a)
+
+
 def test_symmetric_matrix_is_immutable():
     m = SymmetricMatrix(np.zeros((2, 2)))
     with pytest.raises(ValueError):
@@ -51,11 +59,6 @@ def test_spectrum_sorts_descending():
     s = Spectrum((1.0, 3.0, -2.0))
     assert s.values == (3.0, 1.0, -2.0)
     assert len(s) == 3 and s[0] == 3.0
-
-
-def test_spectrum_min_abs():
-    assert Spectrum((2.0, -0.5)).min_abs() == 0.5
-    assert Spectrum(()).min_abs() == math.inf
 
 
 def test_eigenvalues_triangle():
@@ -94,11 +97,17 @@ def test_eigh_residuals_on_random_matrices():
         assert abs(w.sum() - a.trace()) <= 1e-9 * max(1.0, abs(a.trace()))
 
 
-def test_solver_failure_carries_off_diagonal_norm():
-    m = adjacency_matrix(complete_graph(3))
-    with pytest.raises(ConvergenceError) as exc:
-        _eigh(m, max_sweeps=0)
-    assert exc.value.off_diagonal_norm > 0.0
+@pytest.mark.parametrize("n", [0, 3, 9])
+def test_eigh_without_vectors_returns_none(n):
+    w, v = _eigh(SymmetricMatrix(np.ones((n, n))), accumulate=False)
+    assert v is None
+    assert len(w) == n
+
+
+def test_solver_failure_carries_off_diagonal_norm(monkeypatch):
+    monkeypatch.setattr(spectra, "SWEEP_CAP", 0)
+    with pytest.raises(np.linalg.LinAlgError, match="off-diagonal norm reached 2.449"):
+        _eigh(adjacency_matrix(complete_graph(3)))
 
 
 def test_jacobi_rotation_overflow_is_silent():
@@ -123,9 +132,8 @@ def test_scan_orders_stay_on_jacobi():
 
 def _jacobi_values(a):
     a = np.array(a, dtype=np.float64)
-    n = a.shape[0]
     tol = CONVERGENCE_RTOL * (1.0 + np.linalg.norm(a))
-    _, _, converged = _jacobi_sweeps(a, np.eye(n), False, SWEEP_CAP, tol)
+    _, _, converged = _jacobi_sweeps(a, tol)
     assert converged
     return np.sort(np.diag(a))[::-1]
 
@@ -183,8 +191,8 @@ def test_char_poly_leading_terms(lg):
     m = adjacency_matrix(lg)
     cp = char_poly(m)
     assert cp.coefficients[0] == 1
-    assert cp.coefficients[1] == -int(m.trace())
-    assert cp.degree == lg.n
+    assert cp.coefficients[1] == -int(m.data.trace())
+    assert len(cp.coefficients) - 1 == lg.n
 
 
 def test_char_poly_matches_sympy_exactly():
