@@ -62,10 +62,41 @@ class TheoremVerdict:
         return self.abs_gap <= IDENTITY_RTOL * (1.0 + self.rhs_energy)
 
 
+def _energy_sum(values, shift):
+    """sum |v - shift| over `values`, added left to right.
+
+    Builtin sum compensates float sums since Python 3.12, so it is not used:
+    this loop gives the same bits on every version. Given the transpose of a
+    (k, n) array of spectra and a shift or k shifts, it returns the k energies,
+    each summed in the same order.
+    """
+    total = 0.0
+    for v in values:
+        total += abs(v - shift)
+    return total
+
+
+def _condition_witness(values: Sequence[float], threshold: float) -> tuple[float | None, bool]:
+    """The union-family condition |lambda| >= threshold on a base spectrum.
+
+    Returns the witness, the first eigenvalue of least |lambda| below the
+    threshold (None when the condition holds), and whether any eigenvalue is
+    too close to the threshold to settle in floats.
+    """
+    witness = None
+    boundary = False
+    for v in values:
+        if abs(abs(v) - threshold) <= CONDITION_TOL:
+            boundary = True
+        if abs(v) < threshold - CONDITION_TOL and (witness is None or abs(v) < abs(witness)):
+            witness = v
+    return witness, boundary
+
+
 def _report(n: int, sigma: int, spectrum: Spectrum) -> EnergyReport:
     shift = sigma / n if n else 0.0
-    energy = float(sum(abs(v - shift) for v in spectrum))
-    return EnergyReport(n=n, sigma=sigma, spectrum=spectrum, shift=shift, energy=energy)
+    return EnergyReport(n=n, sigma=sigma, spectrum=spectrum, shift=shift,
+                        energy=_energy_sum(spectrum, shift))
 
 
 def energy_simple(g: Graph) -> EnergyReport:
@@ -100,36 +131,19 @@ def verify_theorem2(g: Graph, p: int, q: int) -> TheoremVerdict:
     """Check E(p plain + q fully-looped copies of g, loops as built) = (p+q) E(g).
 
     Requires p, q >= 0 and p + q >= 1. Condition: every eigenvalue of g has
-    magnitude at least max(p, q)/(p + q).
-    """
-    return _union_family_verdict(g, p, q)[1]
-
-
-def _union_family_verdict(g: Graph, p: int, q: int) -> tuple[LoopedGraph, TheoremVerdict]:
-    """Build p plain + q fully-looped copies of g and check the identity on them.
-
-    Two eigensolves: the spectrum of g gives the condition and the right side
-    m * E(g); the union as built gives the left side. A union above
-    MAX_MATRIX_ORDER raises ValueError before any copy is built.
+    magnitude at least max(p, q)/(p + q). Two eigensolves: the spectrum of g
+    gives the condition and the right side m * E(g); the union as built gives
+    the left side. A union above MAX_MATRIX_ORDER raises ValueError before any
+    copy is built.
     """
     m = check_copy_counts(p, q)
     check_matrix_order(m * g.n)
     base = energy_simple(g)
-    threshold = max(p, q) / m
-    # the witness is the first eigenvalue of least |lambda| below the threshold;
-    # boundary flags eigenvalues too close to the threshold to settle in floats
-    witness = None
-    boundary = False
-    for v in base.spectrum:
-        if abs(abs(v) - threshold) <= CONDITION_TOL:
-            boundary = True
-        if abs(v) < threshold - CONDITION_TOL and (witness is None or abs(v) < abs(witness)):
-            witness = v
+    witness, boundary = _condition_witness(base.spectrum, max(p, q) / m)
     parts = [with_loops(g, ()) for _ in range(p)] + [with_all_loops(g) for _ in range(q)]
-    union = union_looped(parts)
-    lhs = energy_looped(union).energy
+    lhs = energy_looped(union_looped(parts)).energy
     rhs = m * base.energy
-    return union, TheoremVerdict(
+    return TheoremVerdict(
         condition_holds=witness is None,
         lhs_energy=lhs,
         rhs_energy=rhs,

@@ -12,10 +12,13 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator
 
+import numpy as np
+
 from .graphs import Graph, LoopedGraph, check_matrix_order, with_loops
 
 HEADER = ">>graph6<<"
 _MAX_ENCODABLE = 258047  # largest order for the 18-bit length form
+_ONE_BYTE_MAX = 62  # largest order written with one length byte
 
 
 class Graph6ParseError(ValueError):
@@ -109,7 +112,7 @@ def to_graph6(g: Graph) -> str:
     n = g.n
     if n > _MAX_ENCODABLE:
         raise ValueError(f"order {n} exceeds supported graph6 range")
-    if n <= 62:
+    if n <= _ONE_BYTE_MAX:
         out = [chr(n + 63)]
     else:
         out = ["~", chr(((n >> 12) & 63) + 63), chr(((n >> 6) & 63) + 63), chr((n & 63) + 63)]
@@ -173,3 +176,19 @@ def write_looped_graphs(graphs: Iterable[LoopedGraph]) -> Iterator[str]:
         yield to_graph6(lg.base)
         if lg.loops:
             yield "L: " + ",".join(str(i) for i in lg.sorted_loops())
+
+
+def to_graph6_stack(a: np.ndarray) -> list[str]:
+    """to_graph6 of every 0/1 matrix of a (k, n, n) stack, n <= 62; diagonals are ignored."""
+    k, n, _ = a.shape
+    if n > _ONE_BYTE_MAX:
+        raise ValueError(f"order {n} needs the long graph6 length form")
+    j, i = np.tril_indices(n, -1)  # graph6 bit order: pairs i < j, column j by column j
+    bits = np.zeros((k, -(-len(i) // 6) * 6), dtype=np.uint8)
+    bits[:, :len(i)] = a[:, i, j]
+    out = np.empty((k, 1 + bits.shape[1] // 6), dtype=np.uint8)
+    out[:, 0] = n + 63
+    out[:, 1:] = bits.reshape(k, -1, 6) @ np.array([32, 16, 8, 4, 2, 1], dtype=np.uint8) + 63
+    text = out.tobytes().decode("ascii")
+    width = out.shape[1]
+    return [text[t * width:(t + 1) * width] for t in range(k)]

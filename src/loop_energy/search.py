@@ -5,6 +5,15 @@ verify by counting, and loop placements break most symmetry anyway. Records
 stream in a fixed key order (order, then edge bitmask, then loop bitmask), so
 a scan re-run with the same config is byte-identical regardless of how the
 work is partitioned across processes.
+
+The graphs of one order are read in chunks of at most 64, and a kernel turns
+each chunk into its records as stacks of matrices: the scan kernel solves the
+chunk's adjacency stack and the stack of all its loop placements, the thm1
+family kernel the base stack and the stack of unions [[A, 0], [0, A + I]].
+Both go through spectra.eigenvalues_stack and sum energies as energy._report
+does, so each record holds the same floats as the Graph/LoopedGraph object
+path (energy_simple, energy_looped, verify_theorem1), which stays the
+reference layer.
 """
 
 from __future__ import annotations
@@ -18,9 +27,12 @@ from dataclasses import dataclass
 from itertools import combinations, islice
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .energy import _union_family_verdict, energy_looped, energy_simple
-from .graph6 import to_graph6
-from .graphs import Graph, is_connected, with_loops
+import numpy as np
+
+from .energy import _condition_witness, _energy_sum
+from .graph6 import to_graph6_stack
+from .graphs import Graph, is_connected
+from .spectra import eigenvalues_stack
 
 EQUAL = "EQUAL"
 LOOPED_GREATER = "LOOPED_GREATER"
@@ -31,6 +43,7 @@ MAX_ORDER = 8          # hard cap: 2^C(n,2) labeled graphs beyond this is out of
 DEFAULT_MAX_ORDER = 5  # scans above this should be an explicit, acknowledged choice
 DEFAULT_EQ_TOL = 1e-9  # relative: |gap| <= eq_tol * (1 + e_simple) classifies EQUAL
 SUSPECT_BAND = 1e-6    # non-EQUAL records with |gap| <= this are flagged for exact follow-up
+CHUNK_MAX = 64         # graphs per kernel call: the records in flight stay bounded at any order
 
 TSV_COLUMNS = ("graph6", "loops", "sigma", "n", "e_simple", "e_looped", "gap", "class")
 
@@ -78,8 +91,8 @@ class SearchRecord:
     condition_met: bool | None = None
 
 
-# the records of one graph; the scan and the thm1 family each supply one
-PerGraph = Callable[[Graph, SearchConfig], list[SearchRecord]]
+# the records of a chunk of same-order graphs; the scan and the thm1 family each supply one
+Kernel = Callable[[Sequence[Graph], SearchConfig], list[SearchRecord]]
 
 
 def enumerate_graphs(n: int, connected_only: bool = False) -> Iterator[Graph]:
@@ -119,52 +132,70 @@ def _record(graph6: str, loops: tuple, n: int, e_simple: float, e_looped: float,
                         suspect, condition_met)
 
 
-def _scan_one_graph(g: Graph, config: SearchConfig) -> list[SearchRecord]:
-    g6 = to_graph6(g)
-    e_simple = energy_simple(g).energy
-    records = []
-    for loop_mask in _loop_masks(g.n, config.sigma_policy):
-        loops = tuple(i for i in range(g.n) if (loop_mask >> i) & 1)
-        e_looped = energy_looped(with_loops(g, loops)).energy
-        records.append(_record(g6, loops, g.n, e_simple, e_looped, config.eq_tol))
-    return records
+def _adjacency_stack(graphs: Sequence[Graph], n: int) -> np.ndarray:
+    a = np.zeros((len(graphs), n, n))
+    for t, g in enumerate(graphs):
+        for u, v in g.edges:
+            a[t, u, v] = a[t, v, u] = 1.0
+    return a
 
 
-def _family_one_graph(g: Graph, config: SearchConfig) -> list[SearchRecord]:
-    union, verdict = _union_family_verdict(g, 1, 1)
-    return [_record(to_graph6(union.base), tuple(union.sorted_loops()), union.n,
-                    verdict.rhs_energy, verdict.lhs_energy, config.eq_tol,
-                    condition_met=verdict.condition_holds)]
+def _scan_kernel(graphs: Sequence[Graph], config: SearchConfig) -> list[SearchRecord]:
+    """The records of same-order graphs: every graph with every allowed loop set."""
+    n = graphs[0].n
+    masks = _loop_masks(n, config.sigma_policy)
+    if not masks:
+        return []
+    loop_sets = [tuple(i for i in range(n) if (mask >> i) & 1) for mask in masks]
+    diagonals = ((np.array(masks)[:, np.newaxis] >> np.arange(n)) & 1).astype(float)
+    a = _adjacency_stack(graphs, n)
+    # (k, L, n, n): each graph with each loop placement on its diagonal
+    looped = (a[:, np.newaxis] + diagonals[:, :, np.newaxis] * np.eye(n)).reshape(-1, n, n)
+    e_simple = _energy_sum(eigenvalues_stack(a).T, 0.0).tolist()
+    shifts = np.tile(diagonals.sum(axis=1) / n, len(graphs))
+    e_looped = _energy_sum(eigenvalues_stack(looped).T, shifts).reshape(len(graphs), len(masks))
+    return [_record(g6, loops, n, e, e_l, config.eq_tol)
+            for g6, e, row in zip(to_graph6_stack(a), e_simple, e_looped.tolist())
+            for loops, e_l in zip(loop_sets, row)]
 
 
-def _scan_chunk(args: tuple[PerGraph, SearchConfig, Sequence[Graph]]) -> list[SearchRecord]:
-    per_graph, config, graphs = args
-    out: list[SearchRecord] = []
-    for g in graphs:
-        out.extend(per_graph(g, config))
-    return out
+def _family_kernel(graphs: Sequence[Graph], config: SearchConfig) -> list[SearchRecord]:
+    """The verify_theorem1 verdict of each same-order base graph G, as a record of G union G^l."""
+    n = graphs[0].n
+    a = _adjacency_stack(graphs, n)
+    union = np.zeros((len(graphs), 2 * n, 2 * n))
+    union[:, :n, :n] = a
+    union[:, n:, n:] = a + np.eye(n)
+    base = eigenvalues_stack(a)
+    # p = q = 1: m = 2, and the union's shift n / 2n and the threshold max(p, q) / m are 1/2
+    rhs = (2 * _energy_sum(base.T, 0.0)).tolist()
+    lhs = _energy_sum(eigenvalues_stack(union).T, 0.5).tolist()
+    loops = tuple(range(n, 2 * n))
+    return [_record(g6, loops, 2 * n, e_simple, e_looped, config.eq_tol,
+                    condition_met=_condition_witness(values, 0.5)[0] is None)
+            for g6, values, e_simple, e_looped
+            in zip(to_graph6_stack(union), base.tolist(), rhs, lhs)]
 
 
-def _stream(config: SearchConfig, workers: int, per_graph: PerGraph) -> Iterator[SearchRecord]:
-    """per_graph(g, config) for every enumerated graph g, in enumeration order."""
+def _stream(config: SearchConfig, workers: int, kernel: Kernel) -> Iterator[SearchRecord]:
+    """kernel(chunk, config) for every chunk of enumerated graphs, in enumeration order."""
     if workers is None or workers < 1:
         workers = os.cpu_count() or 1
     for n in range(config.n_min, config.n_max + 1):
         graphs = enumerate_graphs(n, config.connected_only)
         total = 1 << (n * (n - 1) // 2)
         if workers == 1 or total < 4 * workers:
-            for g in graphs:
-                yield from per_graph(g, config)
+            while chunk := list(islice(graphs, CHUNK_MAX)):
+                yield from kernel(chunk, config)
             continue
-        # at most 64 graphs a chunk: the records in flight stay bounded at any order
-        size = max(1, min(64, total // (workers * 8)))
+        size = max(1, min(CHUNK_MAX, total // (workers * 8)))
         pool = ProcessPoolExecutor(max_workers=workers)
         try:
             pending = deque()
             while chunk := list(islice(graphs, size)):
                 # a map of one job submits it at once; map, not submit, so that
                 # perfbench/traced.py still times the wait on its results
-                pending.append(pool.map(_scan_chunk, [(per_graph, config, chunk)]))
+                pending.append(pool.map(kernel, [chunk], [config]))
                 if len(pending) == 2 * workers:
                     yield from next(pending.popleft())
             while pending:
@@ -184,7 +215,7 @@ def scan(config: SearchConfig, workers: int = 1) -> Iterator[SearchRecord]:
     chunks are in flight, so memory does not grow with the 2^C(n,2) graphs of
     an order.
     """
-    return _stream(config, workers, _scan_one_graph)
+    return _stream(config, workers, _scan_kernel)
 
 
 def find_theorem_family_instances(
@@ -208,7 +239,7 @@ def find_theorem_family_instances(
             f"sigma_policy {config.sigma_policy!r} does not apply to the theorem-1 "
             "family: every union carries loops on exactly n of its 2n vertices"
         )
-    return _stream(config, workers, _family_one_graph)
+    return _stream(config, workers, _family_kernel)
 
 
 def fmt10(x: float) -> str:

@@ -1,11 +1,15 @@
 """Dense symmetric eigensolver and an exact characteristic-polynomial oracle.
 
-Matrices of order above JACOBI_MAX_ORDER (8) are solved by LAPACK through
-numpy.linalg. Orders up to 8, which cover every matrix the exhaustive scan
-solves, use cyclic Jacobi rotations in pure Python; they converge
-unconditionally for symmetric input. Either backend raises
-numpy.linalg.LinAlgError if it fails. SymmetricMatrix rejects NaN and
-infinite entries, so neither backend sees them. Adjacency matrices are
+Eigenvalues are solved a stack at a time: eigenvalues_stack takes a (k, n, n)
+stack, checks it once (finite and symmetric, as SymmetricMatrix does), and
+returns each matrix's eigenvalues in descending order. eigenvalues() of one
+SymmetricMatrix is a stack of one through the same private solve, so both
+return the same floats. The order rule is written there once: above
+JACOBI_MAX_ORDER (8) the whole stack goes to one batched LAPACK call through
+numpy.linalg, and at or below it cyclic Jacobi rotations in pure Python solve
+the matrices one by one; they converge unconditionally for symmetric input,
+and every matrix the exhaustive scan solves is of such an order. Either
+backend raises numpy.linalg.LinAlgError if it fails. Adjacency matrices are
 limited to order 4,096 (graphs.MAX_MATRIX_ORDER).
 
 Characteristic polynomials use Berkowitz's division-free recurrence, so for
@@ -28,6 +32,17 @@ SWEEP_CAP = 100
 CONVERGENCE_RTOL = 1e-12
 
 
+def _check_symmetric(a: np.ndarray, ndim: int) -> None:
+    # one matrix (ndim 2) or a stack of them (ndim 3): square, finite, symmetric
+    if a.ndim != ndim or a.shape[-2:-1] != a.shape[-1:]:
+        what = "matrix must be square" if ndim == 2 else "matrix stack must have shape (k, n, n)"
+        raise ValueError(f"{what}, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise ValueError("matrix entries must be finite")
+    if not np.array_equal(a, np.swapaxes(a, -1, -2)):
+        raise ValueError("matrix must be symmetric")
+
+
 @dataclass(frozen=True, eq=False)
 class SymmetricMatrix:
     """Dense square real matrix, symmetric by construction (checked exactly)."""
@@ -36,12 +51,7 @@ class SymmetricMatrix:
 
     def __post_init__(self):
         a = np.array(self.data, copy=True)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ValueError(f"matrix must be square, got shape {a.shape}")
-        if not np.isfinite(a).all():
-            raise ValueError("matrix entries must be finite")
-        if not np.array_equal(a, a.T):
-            raise ValueError("matrix must be symmetric")
+        _check_symmetric(a, ndim=2)
         a.setflags(write=False)
         object.__setattr__(self, "data", a)
 
@@ -142,6 +152,28 @@ def _jacobi_sweeps(a, tol, v=None):
         sweeps += 1
 
 
+def _jacobi(a: np.ndarray, v=None) -> np.ndarray:
+    # diagonalise one (n, n) float64 matrix in place; its unsorted eigenvalues
+    fro = math.sqrt(float((a * a).sum()))
+    off, sweeps, converged = _jacobi_sweeps(a, CONVERGENCE_RTOL * (1.0 + fro), v)
+    if not converged:
+        raise np.linalg.LinAlgError(
+            f"eigensolver did not converge after {sweeps} sweeps; "
+            f"off-diagonal norm reached {off:.6e}"
+        )
+    return np.diag(a)
+
+
+def _eigvalsh(a: np.ndarray) -> np.ndarray:
+    # the eigenvalues of a checked (k, n, n) float64 stack, each row descending;
+    # Jacobi overwrites `a`
+    if a.shape[1] > JACOBI_MAX_ORDER:
+        return np.linalg.eigvalsh(a)[:, ::-1]
+    w = np.array([_jacobi(m) for m in a]).reshape(a.shape[:2])
+    # negation is exact, so this is w[argsort(-w, stable)] row by row, bit for bit
+    return -np.sort(-w, axis=1, kind="stable")
+
+
 def _eigh(m: SymmetricMatrix, accumulate: bool = True):
     """Eigenvalues (descending) and matching eigenvector columns.
 
@@ -151,30 +183,31 @@ def _eigh(m: SymmetricMatrix, accumulate: bool = True):
     solves the matrix.
     """
     a = np.array(m.data, dtype=np.float64)
-    n = a.shape[0]
-    if n > JACOBI_MAX_ORDER:
-        if not accumulate:
-            return np.linalg.eigvalsh(a)[::-1], None
+    if not accumulate:
+        return _eigvalsh(a[np.newaxis])[0], None
+    if a.shape[0] > JACOBI_MAX_ORDER:
         w, v = np.linalg.eigh(a)
         return w[::-1], v[:, ::-1]
-    fro = math.sqrt(float((a * a).sum()))
-    tol = CONVERGENCE_RTOL * (1.0 + fro)
-    v = np.eye(n) if accumulate else None
-    off, sweeps, converged = _jacobi_sweeps(a, tol, v)
-    if not converged:
-        raise np.linalg.LinAlgError(
-            f"eigensolver did not converge after {sweeps} sweeps; "
-            f"off-diagonal norm reached {off:.6e}"
-        )
-    w = np.diag(a)
+    v = np.eye(a.shape[0])
+    w = _jacobi(a, v)
     order = np.argsort(-w, kind="stable")
-    return w[order], None if v is None else v[:, order]
+    return w[order], v[:, order]
 
 
 def eigenvalues(m: SymmetricMatrix) -> Spectrum:
     """Full spectrum of a symmetric matrix, sorted descending."""
-    w, _ = _eigh(m, accumulate=False)
-    return Spectrum(tuple(float(x) for x in w))
+    return Spectrum(tuple(_eigh(m, accumulate=False)[0].tolist()))
+
+
+def eigenvalues_stack(stack) -> np.ndarray:
+    """Eigenvalues of every matrix of a (k, n, n) stack: a (k, n) array, rows descending.
+
+    The stack is checked once, with SymmetricMatrix's rules and messages. Row
+    i holds the same floats as eigenvalues(SymmetricMatrix(stack[i])).
+    """
+    a = np.array(stack, dtype=np.float64)
+    _check_symmetric(a, ndim=3)
+    return _eigvalsh(a)
 
 
 def char_poly(m: SymmetricMatrix) -> CharPoly:

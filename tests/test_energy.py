@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -244,3 +245,18 @@ def test_union_additivity_without_loops(a, b):
 def test_empty_graph_report_conventions():
     report = energy_looped(with_loops(empty_graph(0), ()))
     assert report.energy == 0.0 and report.shift == 0.0 and report.n == 0
+
+
+def test_energy_sum_adds_left_to_right():
+    # builtin sum compensates since Python 3.12 and gives 1.0000000000000002 here
+    assert energy._energy_sum([1.0, 1e-16, 1e-16], 0.0) == 1.0
+    assert energy._energy_sum([0.25, -1.0], 0.5) == 1.75
+    assert energy._energy_sum((), 0.5) == 0.0
+
+
+def test_energy_sum_of_transposed_rows_is_the_sum_of_each_row():
+    rng = np.random.default_rng(3)
+    rows = rng.normal(size=(50, 7))
+    shifts = rng.integers(0, 8, size=50) / 7
+    got = energy._energy_sum(rows.T, shifts).tolist()
+    assert got == [energy._energy_sum(r, s) for r, s in zip(rows.tolist(), shifts.tolist())]

@@ -1,4 +1,5 @@
 import networkx as nx
+import numpy as np
 import pytest
 from hypothesis import given
 
@@ -7,14 +8,17 @@ from loop_energy import (
     Graph,
     Graph6ParseError,
     LoopFileParseError,
+    adjacency_matrix,
     complete_graph,
     empty_graph,
+    enumerate_graphs,
     from_graph6,
     read_looped_graphs,
     to_graph6,
     with_loops,
     write_looped_graphs,
 )
+from loop_energy.graph6 import to_graph6_stack
 
 
 def _nx_encode(g: Graph) -> str:
@@ -163,3 +167,22 @@ def test_write_omits_empty_sidecar():
     assert lines == ["Bw"]
     lines = list(write_looped_graphs([with_loops(complete_graph(3), {2, 0})]))
     assert lines == ["Bw", "L: 0,2"]
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_stack_encoder_matches_to_graph6(n):
+    every = list(enumerate_graphs(n))
+    stack = np.array([adjacency_matrix(g).data for g in every], dtype=np.float64)
+    stack[:, 0, 0] = 1.0  # loops are not part of graph6
+    assert to_graph6_stack(stack) == [to_graph6(g) for g in every]
+
+
+@given(graphs(min_n=1, max_n=62))
+def test_stack_encoder_matches_to_graph6_up_to_one_length_byte(g):
+    stack = adjacency_matrix(g).data[np.newaxis]
+    assert to_graph6_stack(stack) == [to_graph6(g)]
+
+
+def test_stack_encoder_rejects_the_long_length_form():
+    with pytest.raises(ValueError, match="long graph6 length form"):
+        to_graph6_stack(np.zeros((1, 63, 63)))

@@ -6,7 +6,10 @@ from itertools import combinations
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import graphs
 from exact_oracle import truly_equal
 from loop_energy import (
     SearchConfig,
@@ -24,7 +27,7 @@ from loop_energy import (
     verify_theorem1,
     with_loops,
 )
-from loop_energy import energy, search
+from loop_energy import search
 from loop_energy.search import (
     EQUAL,
     LOOPED_GREATER,
@@ -246,17 +249,36 @@ def test_family_records_are_the_verify_theorem1_verdicts():
 
 
 def test_family_scan_solves_twice_per_record(monkeypatch):
-    calls = []
-    solve = energy.eigenvalues
+    # two matrices of each record reach the stack solve: the base graph of
+    # order n / 2 and the union of order n
+    orders = []
+    solve = search.eigenvalues_stack
 
-    def counting(m):
-        calls.append(m.n)
-        return solve(m)
+    def counting(stack):
+        orders.extend([stack.shape[1]] * len(stack))
+        return solve(stack)
 
-    monkeypatch.setattr(energy, "eigenvalues", counting)
+    monkeypatch.setattr(search, "eigenvalues_stack", counting)
     records = list(find_theorem_family_instances(SearchConfig(n_min=1, n_max=3)))
-    assert len(calls) == 2 * len(records)
-    assert sorted(calls) == sorted(n for r in records for n in (r.n // 2, r.n))
+    assert len(orders) == 2 * len(records)
+    assert sorted(orders) == sorted(n for r in records for n in (r.n // 2, r.n))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 6).flatmap(lambda n: st.lists(graphs(n, n), min_size=1, max_size=3)),
+       st.sampled_from(["interior", "all"]))
+def test_scan_kernel_records_match_the_object_path(chunk, sigma_policy):
+    config = SearchConfig(sigma_policy=sigma_policy)
+    expected = []
+    for g in chunk:
+        e_simple = energy_simple(g).energy
+        for mask in range(1 << g.n):
+            loops = tuple(i for i in range(g.n) if (mask >> i) & 1)
+            if sigma_policy == "all" or 0 < len(loops) < g.n:
+                e_looped = energy_looped(with_loops(g, loops)).energy
+                expected.append(search._record(to_graph6(g), loops, g.n, e_simple, e_looped,
+                                               config.eq_tol))
+    assert search._scan_kernel(chunk, config) == expected
 
 
 def test_classification_is_relabeling_invariant():

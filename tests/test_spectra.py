@@ -27,7 +27,7 @@ from loop_energy import (
     with_all_loops,
     with_loops,
 )
-from loop_energy.spectra import CONVERGENCE_RTOL, _eigh, _jacobi_sweeps
+from loop_energy.spectra import CONVERGENCE_RTOL, _eigh, _jacobi_sweeps, eigenvalues_stack
 
 
 def test_symmetric_matrix_rejects_non_square():
@@ -147,6 +147,58 @@ def test_lapack_orders_agree_with_jacobi(n):
         m = SymmetricMatrix(a)
         got = np.array(eigenvalues(m).values)
         assert np.abs(got - _jacobi_values(a)).max() <= 1e-12 * (1 + m.frobenius_norm())
+
+
+def _looped_01_stack(rng, k, n):
+    a = np.triu(rng.integers(0, 2, size=(k, n, n)))
+    return a + np.swapaxes(np.triu(a, 1), 1, 2)  # 0/1 symmetric, loops on the diagonal
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_stack_solve_returns_the_floats_of_eigenvalues(n):
+    stack = _looped_01_stack(np.random.default_rng(100 + n), 7, n)
+    w = eigenvalues_stack(stack)
+    assert w.shape == (7, n)
+    for a, row in zip(stack, w):
+        assert row.tolist() == list(eigenvalues(SymmetricMatrix(a)).values)
+        # each backend on its own: one 2-D LAPACK call, or the bare Jacobi sweeps
+        if n > spectra.JACOBI_MAX_ORDER:
+            single = np.linalg.eigvalsh(a.astype(np.float64))[::-1]
+        else:
+            m = a.astype(np.float64)
+            fro = math.sqrt(float((m * m).sum()))
+            _, _, converged = _jacobi_sweeps(m, CONVERGENCE_RTOL * (1.0 + fro))
+            assert converged
+            single = np.diag(m)[np.argsort(-np.diag(m), kind="stable")]
+        assert row.tolist() == single.tolist()
+
+
+def test_stack_solve_of_empty_stacks():
+    assert eigenvalues_stack(np.zeros((0, 3, 3))).shape == (0, 3)
+    assert eigenvalues_stack(np.zeros((0, 9, 9))).shape == (0, 9)
+    assert eigenvalues_stack(np.zeros((2, 0, 0))).shape == (2, 0)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, "asymmetric"])
+@pytest.mark.parametrize("n", [2, 9], ids=["jacobi", "lapack"])
+def test_stack_solve_rejects_what_symmetric_matrix_rejects(bad, n):
+    stack = np.ones((3, n, n))
+    if bad == "asymmetric":
+        stack[1, 0, 1] = 0.0
+    else:
+        stack[1, 0, 1] = stack[1, 1, 0] = bad
+    with pytest.raises(ValueError) as single:
+        SymmetricMatrix(stack[1])
+    with pytest.raises(ValueError) as stacked:
+        eigenvalues_stack(stack)
+    assert str(stacked.value) == str(single.value)
+    assert str(single.value) in ("matrix entries must be finite", "matrix must be symmetric")
+
+
+@pytest.mark.parametrize("shape", [(3, 3), (2, 3, 4), (3,), (1, 2, 3, 3), ()])
+def test_stack_solve_rejects_other_shapes(shape):
+    with pytest.raises(ValueError, match=r"shape \(k, n, n\), got shape"):
+        eigenvalues_stack(np.zeros(shape))
 
 
 def test_char_poly_single_edge():
