@@ -30,13 +30,7 @@ from .graphs import (
     LoopedGraph,
     adjacency_matrix,
     complete_graph,
-    cycle_graph,
-    disjoint_union,
-    empty_graph,
     is_connected,
-    path_graph,
-    relabel,
-    relabel_looped,
     union_looped,
     with_all_loops,
     with_loops,
@@ -73,20 +67,14 @@ __all__ = [
     "adjacency_matrix",
     "char_poly",
     "complete_graph",
-    "cycle_graph",
-    "disjoint_union",
     "eigenvalues",
-    "empty_graph",
     "energy_looped",
     "energy_simple",
     "enumerate_graphs",
     "find_theorem_family_instances",
     "from_graph6",
     "is_connected",
-    "path_graph",
     "read_looped_graphs",
-    "relabel",
-    "relabel_looped",
     "scan",
     "to_graph6",
     "union_family_energy",

@@ -2,7 +2,8 @@
 
 stdout carries only machine-readable payload; summaries and diagnostics go
 to stderr, so the commands compose in pipelines. Numbers are printed with a
-'.' decimal separator and a fixed 10 significant digits.
+'.' decimal separator and a fixed 10 significant digits; a gap, witness or
+eigenvalue that is rounding noise around 0 prints as 0 (search.snap).
 
 Exit codes: 0 success; 2 parse or usage error. argparse reports a malformed
 command line itself; any error after that is one 'error: ...' line on stderr.
@@ -14,6 +15,7 @@ The verify commands add:
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import replace
@@ -23,7 +25,8 @@ from . import search as search_mod
 from .energy import TheoremVerdict, check_copy_counts, energy_looped, verify_theorem2
 from .graph6 import LoopFileParseError, read_looped_graphs, write_looped_graphs
 from .graphs import Graph, LoopedGraph, adjacency_matrix, with_loops
-from .search import SearchConfig, fmt10, to_jsonl, to_tsv
+from .search import SearchConfig, fmt10, snap, to_jsonl, to_tsv
+from .spectra import Spectrum
 
 ENV_THREADS = "LOOP_ENERGY_THREADS"
 
@@ -49,12 +52,18 @@ def _single_simple_graph(path: str) -> Graph:
     return entries[0].base
 
 
+def _spectrum_fields(spectrum: Spectrum) -> list[str]:
+    # an eigenvalue within rounding noise of 0, relative to the spectrum's 2-norm, prints as 0
+    scale = math.hypot(*spectrum)
+    return [fmt10(snap(v, scale)) for v in spectrum]
+
+
 def _print_report(lg: LoopedGraph, out: TextIO) -> None:
     report = energy_looped(lg)
     print(f"n {report.n}", file=out)
     print(f"sigma {report.sigma}", file=out)
     print(f"shift {fmt10(report.shift)}", file=out)
-    print(" ".join(["spectrum", *(fmt10(v) for v in report.spectrum)]), file=out)
+    print(" ".join(["spectrum", *_spectrum_fields(report.spectrum)]), file=out)
     print(f"energy {fmt10(report.energy)}", file=out)
 
 
@@ -68,8 +77,7 @@ def _cmd_energy(args) -> int:
 
 def _cmd_spectrum(args) -> int:
     for lg in _parse_entries(args.input):
-        spectrum = energy_looped(lg).spectrum
-        print(" ".join(fmt10(v) for v in spectrum))
+        print(" ".join(_spectrum_fields(energy_looped(lg).spectrum)))
     return 0
 
 
@@ -77,9 +85,9 @@ def _print_verdict(verdict: TheoremVerdict) -> int:
     print(f"condition {'true' if verdict.condition_holds else 'false'}")
     print(f"lhs {fmt10(verdict.lhs_energy)}")
     print(f"rhs {fmt10(verdict.rhs_energy)}")
-    print(f"gap {fmt10(verdict.abs_gap)}")
+    print(f"gap {fmt10(snap(verdict.abs_gap, verdict.rhs_energy))}")
     if verdict.witness is not None:
-        print(f"witness {fmt10(verdict.witness)}")
+        print(f"witness {fmt10(snap(verdict.witness, verdict.rhs_energy))}")
     if verdict.boundary:
         print("boundary true")
     if not verdict.condition_holds:

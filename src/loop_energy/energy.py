@@ -80,15 +80,19 @@ def _condition_witness(values: Sequence[float], threshold: float) -> tuple[float
     """The union-family condition |lambda| >= threshold on a base spectrum.
 
     Returns the witness, the first eigenvalue of least |lambda| below the
-    threshold (None when the condition holds), and whether any eigenvalue is
-    too close to the threshold to settle in floats.
+    threshold, ties within CONDITION_TOL going to the first (None when the
+    condition holds), and whether any eigenvalue is too close to the threshold
+    to settle in floats.
     """
     witness = None
     boundary = False
     for v in values:
         if abs(abs(v) - threshold) <= CONDITION_TOL:
             boundary = True
-        if abs(v) < threshold - CONDITION_TOL and (witness is None or abs(v) < abs(witness)):
+        # a candidate replaces the witness only if clearly smaller, so that
+        # of +lambda and -lambda the first in descending order wins on any backend
+        if abs(v) < threshold - CONDITION_TOL and (
+                witness is None or abs(v) < abs(witness) - CONDITION_TOL):
             witness = v
     return witness, boundary
 

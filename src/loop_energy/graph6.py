@@ -116,7 +116,7 @@ def to_graph6(g: Graph) -> str:
         out = [chr(n + 63)]
     else:
         out = ["~", chr(((n >> 12) & 63) + 63), chr(((n >> 6) & 63) + 63), chr((n & 63) + 63)]
-    bits = "".join("1" if g.has_edge(i, j) else "0" for i, j in _pairs(n))
+    bits = "".join("1" if (i, j) in g.edges else "0" for i, j in _pairs(n))
     bits += "0" * (-len(bits) % 6)  # zero padding to a whole byte
     out.extend(chr(int(bits[k:k + 6], 2) + 63) for k in range(0, len(bits), 6))
     return "".join(out)
@@ -175,7 +175,7 @@ def write_looped_graphs(graphs: Iterable[LoopedGraph]) -> Iterator[str]:
     for lg in graphs:
         yield to_graph6(lg.base)
         if lg.loops:
-            yield "L: " + ",".join(str(i) for i in lg.sorted_loops())
+            yield "L: " + ",".join(str(i) for i in sorted(lg.loops))
 
 
 def to_graph6_stack(a: np.ndarray) -> list[str]:

@@ -1,4 +1,4 @@
-"""Simple graphs, self-loop placements, named families, and disjoint unions.
+"""Simple graphs, self-loop placements, complete graphs, and disjoint unions.
 
 Vertices are 0-based contiguous integers. A loop placement is an explicit
 vertex set rather than a bare count: the spectrum of the looped graph depends
@@ -41,13 +41,6 @@ class Graph:
             normalized.add((u, v) if u < v else (v, u))
         object.__setattr__(self, "edges", frozenset(normalized))
 
-    @property
-    def edge_count(self) -> int:
-        return len(self.edges)
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return ((u, v) if u < v else (v, u)) in self.edges
-
 
 @dataclass(frozen=True)
 class LoopedGraph:
@@ -71,37 +64,11 @@ class LoopedGraph:
     def sigma(self) -> int:
         return len(self.loops)
 
-    def sorted_loops(self) -> list[int]:
-        return sorted(self.loops)
-
-
-def empty_graph(n: int) -> Graph:
-    """Edgeless graph on n vertices (n = 0 allowed)."""
-    return Graph(n)
-
 
 def complete_graph(n: int) -> Graph:
     if n < 1:
         raise ValueError(f"complete graph needs n >= 1, got {n}")
     return Graph(n, frozenset(combinations(range(n), 2)))
-
-
-def cycle_graph(n: int) -> Graph:
-    if n < 3:
-        raise ValueError(f"cycle graph needs n >= 3, got {n}")
-    return Graph(n, frozenset((i, (i + 1) % n) for i in range(n)))
-
-
-def path_graph(n: int) -> Graph:
-    if n < 1:
-        raise ValueError(f"path graph needs n >= 1, got {n}")
-    return Graph(n, frozenset((i, i + 1) for i in range(n - 1)))
-
-
-def disjoint_union(a: Graph, b: Graph) -> Graph:
-    """Disjoint union; b's vertices are relabeled by offset a.n."""
-    shifted = {(u + a.n, v + a.n) for u, v in b.edges}
-    return Graph(a.n + b.n, frozenset(a.edges | shifted))
 
 
 def with_loops(g: Graph, loops: Iterable[int]) -> LoopedGraph:
@@ -116,13 +83,14 @@ def with_all_loops(g: Graph) -> LoopedGraph:
 
 def union_looped(parts: Sequence[LoopedGraph]) -> LoopedGraph:
     """Disjoint union of looped graphs; labels and loop sets offset cumulatively."""
-    graph = empty_graph(0)
+    n = 0
+    edges: set[tuple[int, int]] = set()
     loops: set[int] = set()
     for part in parts:
-        offset = graph.n
-        graph = disjoint_union(graph, part.base)
-        loops.update(i + offset for i in part.loops)
-    return LoopedGraph(graph, frozenset(loops))
+        edges.update((u + n, v + n) for u, v in part.base.edges)
+        loops.update(i + n for i in part.loops)
+        n += part.n
+    return LoopedGraph(Graph(n, frozenset(edges)), frozenset(loops))
 
 
 def adjacency_matrix(g: Graph | LoopedGraph) -> SymmetricMatrix:
@@ -168,14 +136,3 @@ def is_connected(g: Graph) -> bool:
                 queue.append(w)
     return len(seen) == g.n
 
-
-def relabel(g: Graph, perm: Sequence[int]) -> Graph:
-    """Apply a vertex permutation: vertex i becomes perm[i]."""
-    if sorted(perm) != list(range(g.n)):
-        raise ValueError("perm must be a permutation of range(n)")
-    return Graph(g.n, frozenset((perm[u], perm[v]) for u, v in g.edges))
-
-
-def relabel_looped(lg: LoopedGraph, perm: Sequence[int]) -> LoopedGraph:
-    """Apply a vertex permutation to the base graph and the loop set alike."""
-    return LoopedGraph(relabel(lg.base, perm), frozenset(perm[i] for i in lg.loops))

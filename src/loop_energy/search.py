@@ -44,6 +44,7 @@ DEFAULT_MAX_ORDER = 5  # scans above this should be an explicit, acknowledged ch
 DEFAULT_EQ_TOL = 1e-9  # relative: |gap| <= eq_tol * (1 + e_simple) classifies EQUAL
 SUSPECT_BAND = 1e-6    # non-EQUAL records with |gap| <= this are flagged for exact follow-up
 CHUNK_MAX = 64         # graphs per kernel call: the records in flight stay bounded at any order
+NOISE_RTOL = 1e-12     # relative: a printed value this close to 0 is rounding noise, printed as 0
 
 TSV_COLUMNS = ("graph6", "loops", "sigma", "n", "e_simple", "e_looped", "gap", "class")
 
@@ -242,6 +243,16 @@ def find_theorem_family_instances(
     return _stream(config, workers, _family_kernel)
 
 
+def snap(x: float, scale: float) -> float:
+    """x, or 0.0 when |x| <= NOISE_RTOL * (1 + scale).
+
+    Renderers pass values through this so that rounding noise, which differs
+    between eigensolvers, prints as 0; classes and energies are computed from
+    the unsnapped floats.
+    """
+    return 0.0 if abs(x) <= NOISE_RTOL * (1.0 + scale) else x
+
+
 def fmt10(x: float) -> str:
     """Locale-independent rendering with exactly 10 significant digits."""
     if x == 0:
@@ -268,7 +279,7 @@ def to_tsv(records: Iterable[SearchRecord], include_condition: bool = False) -> 
             str(r.n),
             fmt10(r.e_simple),
             fmt10(r.e_looped),
-            fmt10(r.gap),
+            fmt10(snap(r.gap, r.e_simple)),
             label,
         ]
         if include_condition:
@@ -286,7 +297,7 @@ def to_jsonl(records: Iterable[SearchRecord]) -> Iterator[str]:
             "n": r.n,
             "e_simple": float(fmt10(r.e_simple)),
             "e_looped": float(fmt10(r.e_looped)),
-            "gap": float(fmt10(r.gap)),
+            "gap": float(fmt10(snap(r.gap, r.e_simple))),
             "class": r.classification,
             "suspect": r.suspect,
         }

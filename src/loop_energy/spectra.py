@@ -8,9 +8,13 @@ return the same floats. The order rule is written there once: above
 JACOBI_MAX_ORDER (8) the whole stack goes to one batched LAPACK call through
 numpy.linalg, and at or below it cyclic Jacobi rotations in pure Python solve
 the matrices one by one; they converge unconditionally for symmetric input,
-and every matrix the exhaustive scan solves is of such an order. Either
-backend raises numpy.linalg.LinAlgError if it fails. Adjacency matrices are
-limited to order 4,096 (graphs.MAX_MATRIX_ORDER).
+and every matrix the exhaustive scan solves is of such an order. The
+renderers print rounding noise around 0 as 0 (search.snap), so both backends
+print the same bytes on the outputs the tests compare; on some other input a
+value away from 0 could still round to another tenth digit, so the scan
+stays on Jacobi.
+Either backend raises numpy.linalg.LinAlgError if it fails. Adjacency
+matrices are limited to order 4,096 (graphs.MAX_MATRIX_ORDER).
 
 Characteristic polynomials use Berkowitz's division-free recurrence, so for
 integer matrices the coefficients are exact Python integers by construction,
@@ -25,7 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 # orders above this go to LAPACK; search.MAX_ORDER must not exceed it, so the
-# scan's output does not depend on LAPACK
+# scan's output does not depend on LAPACK: printing noise as 0 makes the
+# backends agree on the outputs the tests compare, not on every input
 JACOBI_MAX_ORDER = 8
 SWEEP_CAP = 100
 # off-diagonal Frobenius norm must drop below this times (1 + ||A||_F)
@@ -59,9 +64,6 @@ class SymmetricMatrix:
     def n(self) -> int:
         return self.data.shape[0]
 
-    def frobenius_norm(self) -> float:
-        return float(np.sqrt((self.data.astype(np.float64) ** 2).sum()))
-
 
 @dataclass(frozen=True)
 class Spectrum:
@@ -92,12 +94,6 @@ class CharPoly:
     def __post_init__(self):
         if not self.coefficients or self.coefficients[0] != 1:
             raise ValueError("characteristic polynomial must be monic")
-
-    def evaluate(self, x):
-        acc = self.coefficients[0]
-        for c in self.coefficients[1:]:
-            acc = acc * x + c
-        return acc
 
 
 def _jacobi_sweeps(a, tol, v=None):
@@ -174,17 +170,13 @@ def _eigvalsh(a: np.ndarray) -> np.ndarray:
     return -np.sort(-w, axis=1, kind="stable")
 
 
-def _eigh(m: SymmetricMatrix, accumulate: bool = True):
+def _eigh(m: SymmetricMatrix):
     """Eigenvalues (descending) and matching eigenvector columns.
 
     Internal: the public result type carries no eigenvectors; tests use them
-    for residual checks. Without `accumulate` no eigenvectors are computed
-    and None is returned in their place. Above JACOBI_MAX_ORDER, LAPACK
-    solves the matrix.
+    for residual checks. Above JACOBI_MAX_ORDER, LAPACK solves the matrix.
     """
     a = np.array(m.data, dtype=np.float64)
-    if not accumulate:
-        return _eigvalsh(a[np.newaxis])[0], None
     if a.shape[0] > JACOBI_MAX_ORDER:
         w, v = np.linalg.eigh(a)
         return w[::-1], v[:, ::-1]
@@ -196,7 +188,7 @@ def _eigh(m: SymmetricMatrix, accumulate: bool = True):
 
 def eigenvalues(m: SymmetricMatrix) -> Spectrum:
     """Full spectrum of a symmetric matrix, sorted descending."""
-    return Spectrum(tuple(_eigh(m, accumulate=False)[0].tolist()))
+    return Spectrum(tuple(_eigvalsh(np.array(m.data, dtype=np.float64)[np.newaxis])[0].tolist()))
 
 
 def eigenvalues_stack(stack) -> np.ndarray:

@@ -5,9 +5,18 @@ import shutil
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from loop_energy import graphs
+from loop_energy import (
+    Graph,
+    enumerate_graphs,
+    graphs,
+    spectra,
+    to_graph6,
+    with_loops,
+    write_looped_graphs,
+)
 from loop_energy.cli import main
 
 TRIANGLE = "Bw"            # K_3
@@ -272,8 +281,92 @@ def test_search_family_stdout_matches_golden_digest(monkeypatch, capsys, threads
         ["search", "--family", "thm1", "--n-min", "2", "--n-max", "8"], capsys=capsys
     )
     assert code == 0
-    assert hashlib.sha256(out.encode("ascii")).hexdigest().startswith("773c3f193caefc26")
+    assert hashlib.sha256(out.encode("ascii")).hexdigest().startswith("98457e81f84d6d78")
     assert err.startswith("records=75 EQUAL=18 ")
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_search_family_to_union_order_ten_matches_golden_digest(monkeypatch, capsys, threads):
+    # the order-10 unions go to LAPACK, so this pins the bytes of the numpy build in use
+    monkeypatch.setenv("LOOP_ENERGY_THREADS", threads)
+    code, out, err = run_cli(
+        ["search", "--family", "thm1", "--n-min", "2", "--n-max", "10", "--format", "jsonl"],
+        capsys=capsys,
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode("ascii")).hexdigest().startswith("7bc387fc90e03678")
+    assert err.startswith("records=1099 EQUAL=176 ")
+
+
+def _seeded_looped_graphs(tmp_path):
+    # orders 1-16 at five densities, half the vertices looped: many spectra
+    # hold a zero eigenvalue, which each backend computes as different noise
+    rng = np.random.default_rng(7)
+    entries = []
+    for k in range(240):
+        n = 1 + k % 16
+        upper = np.triu(rng.random((n, n)) < 0.15 + 0.175 * (k % 5), 1)
+        g = Graph(n, frozenset(zip(*(ix.tolist() for ix in np.nonzero(upper)))))
+        entries.append(with_loops(g, np.flatnonzero(rng.random(n) < 0.5).tolist()))
+    return write(tmp_path, "g", "".join(line + "\n" for line in write_looped_graphs(entries)))
+
+
+FAMILY = ["search", "--family", "thm1", "--n-min", "2"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["search", "--n-max", "4"],
+        ["search", "--n-max", "5"],
+        ["search", "--n-max", "4", "--sigma", "all", "--connected", "--format", "jsonl"],
+        [*FAMILY, "--n-max", "8"],
+        [*FAMILY, "--n-max", "8", "--format", "jsonl"],
+        [*FAMILY, "--n-max", "10", "--format", "jsonl"],
+        ["energy", None],
+        ["spectrum", None],
+    ],
+    ids=["scan-4", "scan-5", "scan-4-all-connected", "family-8-tsv", "family-8-jsonl",
+         "family-10-jsonl", "energy", "spectrum"],
+)
+def test_stdout_is_the_same_on_either_backend(monkeypatch, capsys, tmp_path, argv):
+    # Jacobi solves every order up to JACOBI_MAX_ORDER (8); at 0 LAPACK solves
+    # them all. Rounding noise prints as 0, so both print the same bytes
+    if argv[-1] is None:
+        argv = [argv[0], _seeded_looped_graphs(tmp_path)]
+    monkeypatch.setenv("LOOP_ENERGY_THREADS", "1")
+    outputs = []
+    for order in (8, 0):
+        monkeypatch.setattr(spectra, "JACOBI_MAX_ORDER", order)
+        code, out, _ = run_cli(argv, capsys=capsys)
+        assert code == 0
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
+
+
+def test_verify_prints_the_same_bytes_on_either_backend(monkeypatch, capsys):
+    cases = [(to_graph6(g), p, q) for n in range(1, 5) for g in enumerate_graphs(n)
+             for p, q in [(1, 1), (2, 1), (1, 3), (3, 1), (2, 2), (0, 1)]]
+    outputs = []
+    for order in (8, 0):
+        monkeypatch.setattr(spectra, "JACOBI_MAX_ORDER", order)
+        outputs.append([
+            run_cli(["verify-thm2", "-p", str(p), "-q", str(q)], g6 + "\n", monkeypatch, capsys)
+            for g6, p, q in cases
+        ])
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("order", [8, 0], ids=["jacobi", "lapack"])
+@pytest.mark.parametrize("p, q", [(2, 1), (1, 3)])
+def test_condition_witness_is_the_same_on_either_backend(monkeypatch, capsys, order, p, q):
+    # the path P4 has eigenvalues +-0.618 below max(p, q)/(p + q); the first in
+    # descending order is the witness, whatever last bits the backend gives -0.618
+    monkeypatch.setattr(spectra, "JACOBI_MAX_ORDER", order)
+    code, out, _ = run_cli(["verify-thm2", "-p", str(p), "-q", str(q)], "Ck\n",
+                           monkeypatch, capsys)
+    assert code == 3
+    assert "witness 0.6180339887\n" in out
 
 
 def test_search_jsonl_output(capsys):

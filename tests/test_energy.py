@@ -6,16 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import graphs, looped_graphs
+from helpers import disjoint_union, empty_graph, path_graph, relabel_looped
 from loop_energy import energy
 from loop_energy import (
     complete_graph,
-    disjoint_union,
-    empty_graph,
     energy_looped,
     energy_simple,
     enumerate_graphs,
-    path_graph,
-    relabel_looped,
     union_family_energy,
     union_looped,
     verify_theorem1,

@@ -4,13 +4,13 @@ import pytest
 from hypothesis import given
 
 from conftest import graphs, looped_graphs
+from helpers import empty_graph
 from loop_energy import (
     Graph,
     Graph6ParseError,
     LoopFileParseError,
     adjacency_matrix,
     complete_graph,
-    empty_graph,
     enumerate_graphs,
     from_graph6,
     read_looped_graphs,

@@ -11,17 +11,16 @@ from hypothesis import strategies as st
 
 from conftest import graphs
 from exact_oracle import truly_equal
+from helpers import disjoint_union, relabel
 from loop_energy import (
     SearchConfig,
     SearchRecord,
     complete_graph,
-    disjoint_union,
     energy_looped,
     energy_simple,
     enumerate_graphs,
     find_theorem_family_instances,
     from_graph6,
-    relabel,
     scan,
     to_graph6,
     verify_theorem1,
@@ -164,7 +163,7 @@ def test_scan_connected_only_keeps_the_connected_records(workers):
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize(
     "render, digest",
-    [(to_jsonl, "cfec8b603e1e18be"), (lambda records: to_tsv(records, True), "773c3f193caefc26")],
+    [(to_jsonl, "24ce849e0afdd871"), (lambda records: to_tsv(records, True), "98457e81f84d6d78")],
     ids=["jsonl", "tsv"],
 )
 def test_family_to_union_order_eight_matches_golden_digest(render, digest, workers):
@@ -327,6 +326,15 @@ def test_tsv_marks_suspect_records():
     )
     lines = list(to_tsv([record]))
     assert lines[1].split("\t")[7] == "LOOPED_GREATER;SUSPECT"
+
+
+@pytest.mark.parametrize("gap, printed", [(-3e-12, "0.000000000"), (4e-12, "4.000000000e-12")])
+def test_gap_of_rounding_noise_prints_as_zero(gap, printed):
+    # the cut is 1e-12 * (1 + e_simple) = 3e-12; the class is left as computed
+    record = SearchRecord(graph6="A_", loops=(0,), sigma=1, n=2, e_simple=2.0,
+                          e_looped=2.0 + gap, gap=gap, classification=EQUAL)
+    assert list(to_tsv([record]))[1].split("\t")[6:] == [printed, "EQUAL"]
+    assert json.loads(next(to_jsonl([record])))["gap"] == float(printed)
 
 
 def test_jsonl_records_parse():
