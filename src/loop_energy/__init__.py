@@ -30,7 +30,6 @@ from .graphs import (
     LoopedGraph,
     adjacency_matrix,
     complete_graph,
-    is_connected,
     union_looped,
     with_all_loops,
     with_loops,
@@ -73,7 +72,6 @@ __all__ = [
     "enumerate_graphs",
     "find_theorem_family_instances",
     "from_graph6",
-    "is_connected",
     "read_looped_graphs",
     "scan",
     "to_graph6",

@@ -122,6 +122,9 @@ def _cmd_search(args) -> int:
             )
         # flags give the order of the emitted union; the base graph is half that
         n_min, n_max = (n_min + 1) // 2, n_max // 2
+        if n_max > search_mod.MAX_ORDER:
+            raise ValueError(f"union order {args.n_max} exceeds the cap of "
+                             f"{2 * search_mod.MAX_ORDER}")
     if n_max > search_mod.DEFAULT_MAX_ORDER and not args.force_large:
         raise ValueError(
             f"scanning graphs of order {n_max} visits 2^C({n_max},2) graphs "

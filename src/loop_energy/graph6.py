@@ -130,9 +130,12 @@ def _parse_loop_indices(body: str, line_number: int) -> frozenset:
     for token in body.split(","):
         token = token.strip()
         try:
-            indices.add(int(token))
+            index = int(token)
         except ValueError:
             raise LoopFileParseError(line_number, f"bad loop index {token!r}") from None
+        if index in indices:
+            raise LoopFileParseError(line_number, f"duplicate loop index {index}")
+        indices.add(index)
     return frozenset(indices)
 
 

@@ -8,7 +8,6 @@ All values are immutable after construction and every operation is pure.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Sequence
@@ -117,22 +116,3 @@ def check_matrix_order(n: int) -> None:
             f"order {n} exceeds the limit of {MAX_MATRIX_ORDER} vertices for a dense "
             "adjacency matrix"
         )
-
-
-def is_connected(g: Graph) -> bool:
-    if g.n <= 1:
-        return True
-    neighbors: list[list[int]] = [[] for _ in range(g.n)]
-    for u, v in g.edges:
-        neighbors[u].append(v)
-        neighbors[v].append(u)
-    seen = {0}
-    queue = deque([0])
-    while queue:
-        u = queue.popleft()
-        for w in neighbors[u]:
-            if w not in seen:
-                seen.add(w)
-                queue.append(w)
-    return len(seen) == g.n
-

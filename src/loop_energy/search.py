@@ -6,14 +6,15 @@ stream in a fixed key order (order, then edge bitmask, then loop bitmask), so
 a scan re-run with the same config is byte-identical regardless of how the
 work is partitioned across processes.
 
-The graphs of one order are read in chunks of at most 64, and a kernel turns
-each chunk into its records as stacks of matrices: the scan kernel solves the
-chunk's adjacency stack and the stack of all its loop placements, the thm1
-family kernel the base stack and the stack of unions [[A, 0], [0, A + I]].
-Both go through spectra.eigenvalues_stack and sum energies as energy._report
-does, so each record holds the same floats as the Graph/LoopedGraph object
-path (energy_simple, energy_looped, verify_theorem1), which stays the
-reference layer.
+The scan draws its graphs as edge bitmasks, scattered into (k, n, n)
+adjacency stacks of at most 64 graphs; enumerate_graphs is a view that turns
+the rows of those stacks back into Graph objects. A kernel turns each stack
+into its records: the scan kernel solves the adjacency stack and the stack of
+all its loop placements, the thm1 family kernel the base stack and the stack
+of unions [[A, 0], [0, A + I]]. Both go through spectra.eigenvalues_stack and
+sum energies as energy._report does, so each record holds the same floats as
+the Graph/LoopedGraph object path (energy_simple, energy_looped,
+verify_theorem1), which stays the reference layer.
 """
 
 from __future__ import annotations
@@ -24,14 +25,13 @@ import os
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import combinations, islice
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
 from .energy import _condition_witness, _energy_sum
 from .graph6 import to_graph6_stack
-from .graphs import Graph, is_connected
+from .graphs import Graph
 from .spectra import eigenvalues_stack
 
 EQUAL = "EQUAL"
@@ -92,24 +92,45 @@ class SearchRecord:
     condition_met: bool | None = None
 
 
-# the records of a chunk of same-order graphs; the scan and the thm1 family each supply one
-Kernel = Callable[[Sequence[Graph], SearchConfig], list[SearchRecord]]
+# the records of a (k, n, n) adjacency stack; the scan and the thm1 family each supply one
+Kernel = Callable[[np.ndarray, SearchConfig], list[SearchRecord]]
+
+
+def _graph_stacks(n: int, connected_only: bool, size: int = CHUNK_MAX) -> Iterator[np.ndarray]:
+    """The labeled graphs on n vertices as float64 adjacency stacks of at most `size`
+    graphs, in edge-bitmask order: bit k is the k-th pair i < j of np.triu_indices.
+    With connected_only, disconnected graphs are dropped and empty stacks skipped.
+    """
+    if not (1 <= n <= MAX_ORDER):
+        raise ValueError(f"order must be in [1, {MAX_ORDER}], got {n}")
+    i, j = np.triu_indices(n, 1)
+    total = 1 << len(i)
+    for start in range(0, total, size):
+        masks = np.arange(start, min(start + size, total))
+        bits = (masks[:, np.newaxis] >> np.arange(len(i))) & 1
+        a = np.zeros((len(masks), n, n))
+        a[:, i, j] = a[:, j, i] = bits
+        if connected_only:
+            # after t squarings, reach holds every walk of length <= 2^t
+            reach = np.minimum(a + np.eye(n), 1.0)
+            for _ in range(n.bit_length()):
+                reach = np.minimum(reach @ reach, 1.0)
+            a = a[reach[:, 0].all(axis=1)]
+        if len(a):
+            yield a
 
 
 def enumerate_graphs(n: int, connected_only: bool = False) -> Iterator[Graph]:
     """All 2^C(n,2) labeled graphs on n vertices, in edge-bitmask order.
 
-    With connected_only, disconnected graphs are skipped. Every scan draws its
-    graphs from here, so they all share one order and one filter.
+    With connected_only, disconnected graphs are skipped. This is a view of the
+    stacks that every scan draws, so it shares their order and their filter.
     """
-    if not (1 <= n <= MAX_ORDER):
-        raise ValueError(f"order must be in [1, {MAX_ORDER}], got {n}")
-    pairs = list(combinations(range(n), 2))
-    for mask in range(1 << len(pairs)):
-        g = Graph(n, frozenset(pair for k, pair in enumerate(pairs) if (mask >> k) & 1))
-        if connected_only and not is_connected(g):
-            continue
-        yield g
+    i, j = np.triu_indices(n, 1)
+    pairs = list(zip(i.tolist(), j.tolist()))
+    for a in _graph_stacks(n, connected_only):
+        for row in a[:, i, j].tolist():
+            yield Graph(n, frozenset(pair for pair, bit in zip(pairs, row) if bit))
 
 
 def _classify(e_simple: float, e_looped: float, eq_tol: float) -> tuple[str, bool, float]:
@@ -133,38 +154,28 @@ def _record(graph6: str, loops: tuple, n: int, e_simple: float, e_looped: float,
                         suspect, condition_met)
 
 
-def _adjacency_stack(graphs: Sequence[Graph], n: int) -> np.ndarray:
-    a = np.zeros((len(graphs), n, n))
-    for t, g in enumerate(graphs):
-        for u, v in g.edges:
-            a[t, u, v] = a[t, v, u] = 1.0
-    return a
-
-
-def _scan_kernel(graphs: Sequence[Graph], config: SearchConfig) -> list[SearchRecord]:
-    """The records of same-order graphs: every graph with every allowed loop set."""
-    n = graphs[0].n
+def _scan_kernel(a: np.ndarray, config: SearchConfig) -> list[SearchRecord]:
+    """The records of an adjacency stack: every graph with every allowed loop set."""
+    n = a.shape[1]
     masks = _loop_masks(n, config.sigma_policy)
     if not masks:
         return []
     loop_sets = [tuple(i for i in range(n) if (mask >> i) & 1) for mask in masks]
     diagonals = ((np.array(masks)[:, np.newaxis] >> np.arange(n)) & 1).astype(float)
-    a = _adjacency_stack(graphs, n)
     # (k, L, n, n): each graph with each loop placement on its diagonal
     looped = (a[:, np.newaxis] + diagonals[:, :, np.newaxis] * np.eye(n)).reshape(-1, n, n)
     e_simple = _energy_sum(eigenvalues_stack(a).T, 0.0).tolist()
-    shifts = np.tile(diagonals.sum(axis=1) / n, len(graphs))
-    e_looped = _energy_sum(eigenvalues_stack(looped).T, shifts).reshape(len(graphs), len(masks))
+    shifts = np.tile(diagonals.sum(axis=1) / n, len(a))
+    e_looped = _energy_sum(eigenvalues_stack(looped).T, shifts).reshape(len(a), len(masks))
     return [_record(g6, loops, n, e, e_l, config.eq_tol)
             for g6, e, row in zip(to_graph6_stack(a), e_simple, e_looped.tolist())
             for loops, e_l in zip(loop_sets, row)]
 
 
-def _family_kernel(graphs: Sequence[Graph], config: SearchConfig) -> list[SearchRecord]:
-    """The verify_theorem1 verdict of each same-order base graph G, as a record of G union G^l."""
-    n = graphs[0].n
-    a = _adjacency_stack(graphs, n)
-    union = np.zeros((len(graphs), 2 * n, 2 * n))
+def _family_kernel(a: np.ndarray, config: SearchConfig) -> list[SearchRecord]:
+    """The verify_theorem1 verdict of each base graph G of a stack, as a record of G union G^l."""
+    n = a.shape[1]
+    union = np.zeros((len(a), 2 * n, 2 * n))
     union[:, :n, :n] = a
     union[:, n:, n:] = a + np.eye(n)
     base = eigenvalues_stack(a)
@@ -179,30 +190,32 @@ def _family_kernel(graphs: Sequence[Graph], config: SearchConfig) -> list[Search
 
 
 def _stream(config: SearchConfig, workers: int, kernel: Kernel) -> Iterator[SearchRecord]:
-    """kernel(chunk, config) for every chunk of enumerated graphs, in enumeration order."""
+    """kernel(stack, config) for every graph stack, in enumeration order; orders with
+    fewer than 4 * workers graphs run serially, the others share one process pool."""
     if workers is None or workers < 1:
         workers = os.cpu_count() or 1
-    for n in range(config.n_min, config.n_max + 1):
-        graphs = enumerate_graphs(n, config.connected_only)
-        total = 1 << (n * (n - 1) // 2)
-        if workers == 1 or total < 4 * workers:
-            while chunk := list(islice(graphs, CHUNK_MAX)):
-                yield from kernel(chunk, config)
-            continue
-        size = max(1, min(CHUNK_MAX, total // (workers * 8)))
-        pool = ProcessPoolExecutor(max_workers=workers)
-        try:
+    pool = None
+    try:
+        for n in range(config.n_min, config.n_max + 1):
+            total = 1 << (n * (n - 1) // 2)
+            if workers == 1 or total < 4 * workers:
+                for a in _graph_stacks(n, config.connected_only):
+                    yield from kernel(a, config)
+                continue
+            pool = pool or ProcessPoolExecutor(max_workers=workers)
             pending = deque()
-            while chunk := list(islice(graphs, size)):
+            for a in _graph_stacks(n, config.connected_only,
+                                   max(1, min(CHUNK_MAX, total // (workers * 8)))):
                 # a map of one job submits it at once; map, not submit, so that
                 # perfbench/traced.py still times the wait on its results
-                pending.append(pool.map(kernel, [chunk], [config]))
+                pending.append(pool.map(kernel, [a], [config]))
                 if len(pending) == 2 * workers:
                     yield from next(pending.popleft())
             while pending:
                 yield from next(pending.popleft())
-        finally:
-            # closing the stream early returns at once: queued chunks are
+    finally:
+        if pool is not None:
+            # closing the stream early returns at once: queued stacks are
             # cancelled, and the workers finish the ones they hold on their own
             pool.shutdown(wait=False, cancel_futures=True)
 

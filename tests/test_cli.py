@@ -12,6 +12,7 @@ from loop_energy import (
     Graph,
     enumerate_graphs,
     graphs,
+    search,
     spectra,
     to_graph6,
     with_loops,
@@ -85,7 +86,7 @@ def test_energy_malformed_input(tmp_path, capsys):
     assert "parse error at byte" in err
 
 
-@pytest.mark.parametrize("bad", ["~", "~~?????@", "~??Bw"])
+@pytest.mark.parametrize("bad", ["~", "~~?????@", "~??Bw", "L: 1,1,0"])
 @pytest.mark.parametrize(
     "argv", [["energy"], ["spectrum"], ["verify-thm1"], ["convert", "--to", "matrix"]]
 )
@@ -296,6 +297,43 @@ def test_search_family_to_union_order_ten_matches_golden_digest(monkeypatch, cap
     assert code == 0
     assert hashlib.sha256(out.encode("ascii")).hexdigest().startswith("7bc387fc90e03678")
     assert err.startswith("records=1099 EQUAL=176 ")
+
+
+def test_search_family_cap_names_union_orders(capsys):
+    code, out, err = run_cli(
+        ["search", "--family", "thm1", "--n-max", "18", "--force-large"], capsys=capsys
+    )
+    assert (code, out, err) == (2, "", "error: union order 18 exceeds the cap of 16\n")
+
+
+def test_search_connected_all_sigma_matches_golden_digest(monkeypatch, capsys):
+    # sha256 of `search --sigma all --connected --format jsonl`, recorded while
+    # connectivity was still tested one Graph at a time
+    monkeypatch.setenv("LOOP_ENERGY_THREADS", "2")
+    code, out, err = run_cli(
+        ["search", "--sigma", "all", "--connected", "--format", "jsonl"], capsys=capsys
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode("ascii")).hexdigest().startswith("bb2b8a8468acf902")
+    assert err.startswith("records=23942 EQUAL=1544 ")
+
+
+def test_search_starts_one_pool_per_scan(monkeypatch, capsys):
+    # orders 3, 4 and 5 all go through the pool at 2 workers; it is started once
+    started = []
+
+    class CountingPool(search.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            started.append(kwargs)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(search, "ProcessPoolExecutor", CountingPool)
+    monkeypatch.setenv("LOOP_ENERGY_THREADS", "2")
+    code, out, err = run_cli(["search", "--n-max", "5"], capsys=capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode("ascii")).hexdigest().startswith("f55f583cb87ff0d0")
+    assert err.startswith("records=31668 ")
+    assert started == [{"max_workers": 2}]
 
 
 def _seeded_looped_graphs(tmp_path):

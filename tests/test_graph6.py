@@ -150,6 +150,12 @@ def test_sidecar_bad_token():
         list(read_looped_graphs(["Bw", "L: 1,x"]))
 
 
+def test_sidecar_repeated_index():
+    # a repeated index is a typo, not one loop: it must not shrink sigma silently
+    with pytest.raises(LoopFileParseError, match=r"line 2: duplicate loop index 1$"):
+        list(read_looped_graphs(["Bw", "L: 1,1,0"]))
+
+
 def test_graph6_error_inside_file_reports_line():
     with pytest.raises(LoopFileParseError, match=r"line 2: parse error at byte"):
         list(read_looped_graphs(["Bw", "~"]))

@@ -8,7 +8,6 @@ from loop_energy import (
     Graph,
     adjacency_matrix,
     complete_graph,
-    is_connected,
     union_looped,
     with_all_loops,
     with_loops,
@@ -186,14 +185,6 @@ def test_graph_rejects_negative_order():
 
 def test_graph_normalizes_edge_orientation():
     assert Graph(3, frozenset({(2, 0)})) == Graph(3, frozenset({(0, 2)}))
-
-
-def test_is_connected():
-    assert is_connected(empty_graph(0))
-    assert is_connected(empty_graph(1))
-    assert is_connected(complete_graph(4))
-    assert not is_connected(empty_graph(2))
-    assert not is_connected(disjoint_union(complete_graph(2), complete_graph(2)))
 
 
 def test_relabel_roundtrip():

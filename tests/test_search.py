@@ -5,6 +5,7 @@ import time
 from itertools import combinations
 
 import networkx as nx
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,6 +16,7 @@ from helpers import disjoint_union, relabel
 from loop_energy import (
     SearchConfig,
     SearchRecord,
+    adjacency_matrix,
     complete_graph,
     energy_looped,
     energy_simple,
@@ -43,18 +45,22 @@ def test_enumerate_counts_tiny():
     assert sum(1 for _ in enumerate_graphs(3)) == 8
 
 
-def test_enumerate_connected_count_matches_brute_force():
-    # independent oracle: connectivity via networkx over every edge subset
-    pairs = list(combinations(range(4), 2))
-    expected = 0
-    for mask in range(1 << len(pairs)):
+@pytest.mark.parametrize("n, count", [(1, 1), (2, 1), (3, 4), (4, 38), (5, 728), (6, 26704)])
+def test_enumerate_connected_count_matches_brute_force(n, count):
+    # independent oracles: OEIS A001187 counts the connected labeled graphs, and
+    # networkx connectivity over every edge subset picks them out (to order 5)
+    kept = list(enumerate_graphs(n, connected_only=True))
+    assert len(kept) == count
+    if n > 5:
+        return
+    expected = []
+    for mask in range(1 << (n * (n - 1) // 2)):
         G = nx.Graph()
-        G.add_nodes_from(range(4))
-        G.add_edges_from(p for k, p in enumerate(pairs) if (mask >> k) & 1)
+        G.add_nodes_from(range(n))
+        G.add_edges_from(p for k, p in enumerate(combinations(range(n), 2)) if (mask >> k) & 1)
         if nx.is_connected(G):
-            expected += 1
-    assert expected == 38
-    assert sum(1 for _ in enumerate_graphs(4, connected_only=True)) == expected
+            expected.append(frozenset(G.edges))
+    assert [g.edges for g in kept] == expected
 
 
 def test_enumerate_yields_each_graph_once():
@@ -125,26 +131,43 @@ def test_scan_to_order_four_matches_golden_digest(workers):
     ids=["5-1", "5-2", "6-2", "family-5-1", "family-5-2"],
 )
 def test_scan_draws_graphs_as_it_needs_them(monkeypatch, stream, n, workers):
+    g = next(enumerate_graphs(n))
     drawn = []
-    enumerate_all = search.enumerate_graphs
+    stacks = search._graph_stacks
 
-    def counting(n, connected_only=False):
-        for g in enumerate_all(n, connected_only):
-            drawn.append(g)
-            yield g
+    def counting(*args):
+        for a in stacks(*args):
+            drawn.append(len(a))
+            yield a
 
-    monkeypatch.setattr(search, "enumerate_graphs", counting)
+    monkeypatch.setattr(search, "_graph_stacks", counting)
     records = stream(SearchConfig(n_min=n, n_max=n), workers=workers)
     first = next(records)
     start = time.perf_counter()
     records.close()
     # closing does not wait for the chunks still in flight
     assert time.perf_counter() - start < 0.5
-    g = next(enumerate_all(n))
     expected = g if stream is scan else disjoint_union(g, g)
     assert first.graph6 == to_graph6(expected)
-    # the pool reads at most 2 * workers chunks of at most 64 graphs each
-    assert len(drawn) <= 256
+    # the pool reads at most 2 * workers stacks of at most 64 graphs each
+    assert 0 < sum(drawn) <= 256
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_scan_builds_no_graph_objects(monkeypatch, workers):
+    # the stream runs on edge-bitmask stacks; Graph is the reference layer only
+    def refuse(*args, **kwargs):
+        raise AssertionError("Graph built on the scan path")
+
+    monkeypatch.setattr(search, "Graph", refuse)
+    config = SearchConfig(n_max=4)
+    graphs_of = {n: 2 ** (n * (n - 1) // 2) for n in range(1, 5)}
+    assert len(list(scan(config, workers=workers))) == sum(
+        k * (2**n - 2) for n, k in graphs_of.items())
+    assert len(list(find_theorem_family_instances(config, workers=workers))) == sum(
+        graphs_of.values())
+    with pytest.raises(AssertionError, match="scan path"):  # the patch does take effect
+        next(enumerate_graphs(1))
 
 
 def _connected(g6: str, order: int) -> bool:
@@ -267,6 +290,7 @@ def test_family_scan_solves_twice_per_record(monkeypatch):
 @given(st.integers(1, 6).flatmap(lambda n: st.lists(graphs(n, n), min_size=1, max_size=3)),
        st.sampled_from(["interior", "all"]))
 def test_scan_kernel_records_match_the_object_path(chunk, sigma_policy):
+    stack = np.array([adjacency_matrix(g).data for g in chunk], dtype=float)
     config = SearchConfig(sigma_policy=sigma_policy)
     expected = []
     for g in chunk:
@@ -277,7 +301,7 @@ def test_scan_kernel_records_match_the_object_path(chunk, sigma_policy):
                 e_looped = energy_looped(with_loops(g, loops)).energy
                 expected.append(search._record(to_graph6(g), loops, g.n, e_simple, e_looped,
                                                config.eq_tol))
-    assert search._scan_kernel(chunk, config) == expected
+    assert search._scan_kernel(stack, config) == expected
 
 
 def test_classification_is_relabeling_invariant():
