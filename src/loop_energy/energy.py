@@ -10,7 +10,9 @@ base graph G (m = p + q, sigma = q*n):
 
 with the p = q = 1 special case requiring only |lambda| >= 1/2. Both are
 sufficient conditions; when they fail the verdict still reports both energies
-and the gap instead of refusing.
+and the gap instead of refusing. Verdicts are computed a stack of base graphs
+at a time by _union_verdicts; verify_theorem2 is its one-row call, and the
+thm1 family scan (search) calls it as _union_verdicts(stack, 1, 1).
 """
 
 from __future__ import annotations
@@ -18,16 +20,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .graphs import (
-    Graph,
-    LoopedGraph,
-    adjacency_matrix,
-    check_matrix_order,
-    union_looped,
-    with_all_loops,
-    with_loops,
-)
-from .spectra import Spectrum, eigenvalues
+import numpy as np
+
+from .graphs import Graph, LoopedGraph, adjacency_matrix, check_matrix_order
+from .spectra import Spectrum, eigenvalues, eigenvalues_stack
 
 # slack when testing |lambda| against a condition threshold, so exact-boundary
 # eigenvalues computed in floating point are not misclassified
@@ -140,21 +136,34 @@ def verify_theorem2(g: Graph, p: int, q: int) -> TheoremVerdict:
     the left side. A union above MAX_MATRIX_ORDER raises ValueError before any
     copy is built.
     """
-    m = check_copy_counts(p, q)
-    check_matrix_order(m * g.n)
-    base = energy_simple(g)
-    witness, boundary = _condition_witness(base.spectrum, max(p, q) / m)
-    parts = [with_loops(g, ()) for _ in range(p)] + [with_all_loops(g) for _ in range(q)]
-    lhs = energy_looped(union_looped(parts)).energy
-    rhs = m * base.energy
-    return TheoremVerdict(
-        condition_holds=witness is None,
-        lhs_energy=lhs,
-        rhs_energy=rhs,
-        abs_gap=abs(lhs - rhs),
-        witness=witness,
-        boundary=boundary,
-    )
+    check_copy_counts(p, q)
+    check_matrix_order((p + q) * g.n)
+    return _union_verdicts(adjacency_matrix(g).data[np.newaxis], p, q)[0]
+
+
+def _union_stack(a: np.ndarray, p: int, q: int) -> np.ndarray:
+    """The union of p plain then q fully-looped copies of each matrix of a (k, n, n)
+    stack, as a block-diagonal (k, m*n, m*n) float64 stack, m = p + q."""
+    k, n, _ = a.shape
+    union = np.zeros((k, (p + q) * n, (p + q) * n))
+    for c in range(p + q):
+        union[:, c * n:(c + 1) * n, c * n:(c + 1) * n] = a + (c >= p) * np.eye(n)
+    return union
+
+
+def _union_verdicts(a: np.ndarray, p: int, q: int) -> list[TheoremVerdict]:
+    """The verify_theorem2 verdict of each base matrix of a (k, n, n) stack: the base
+    stack and the union stack are each solved in one call."""
+    n, m = a.shape[1], p + q
+    shift = q * n / (m * n) if n else 0.0
+    verdicts = []
+    for values, looped in zip(eigenvalues_stack(a).tolist(),
+                              eigenvalues_stack(_union_stack(a, p, q)).tolist()):
+        lhs, rhs = _energy_sum(looped, shift), m * _energy_sum(values, 0.0)
+        witness, boundary = _condition_witness(values, max(p, q) / m)
+        verdicts.append(TheoremVerdict(witness is None, lhs, rhs, abs(lhs - rhs), witness,
+                                       boundary))
+    return verdicts
 
 
 def union_family_energy(base_spectrum: Spectrum | Sequence[float], p: int, q: int) -> float:

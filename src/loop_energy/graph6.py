@@ -10,6 +10,7 @@ reads any edge data.
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -44,13 +45,6 @@ def _value(s: str, pos: int) -> int:
     if b < 63 or b > 126:
         raise Graph6ParseError(f"byte {b} outside graph6 alphabet", pos)
     return b - 63
-
-
-def _pairs(n: int) -> Iterator[tuple[int, int]]:
-    # the vertex pairs i < j in graph6 bit order: column by column
-    for j in range(1, n):
-        for i in range(j):
-            yield i, j
 
 
 def _checked_order(n: int, offset: int) -> int:
@@ -103,8 +97,25 @@ def from_graph6(text: str) -> Graph:
         )
     if len(groups) > nbytes:
         raise Graph6ParseError("trailing bytes after edge data", pos + nbytes)
-    bits = "".join(f"{group:06b}" for group in groups)
-    return Graph(n, frozenset(pair for pair, bit in zip(_pairs(n), bits) if bit == "1"))
+    bits = np.unpackbits(np.array(groups, dtype=np.uint8)[:, np.newaxis], axis=1)[:, 2:].ravel()
+    edges = []
+    for b in np.flatnonzero(bits[:n * (n - 1) // 2]).tolist():
+        # bit b = j(j-1)/2 + i is the pair i < j, so isqrt(8b + 1) is 2j - 1 or 2j
+        j = (math.isqrt(8 * b + 1) + 1) // 2
+        edges.append((b - j * (j - 1) // 2, j))
+    return Graph(n, frozenset(edges))
+
+
+def _encode(n: int, bits: np.ndarray) -> list[str]:
+    """The graph6 strings of order n whose pair bits are the rows of a (k, C(n, 2))
+    0/1 array, in graph6 bit order: bit j(j-1)/2 + i is the pair i < j."""
+    k, width = bits.shape
+    head = [n] if n <= _ONE_BYTE_MAX else [63, n >> 12 & 63, n >> 6 & 63, n & 63]
+    padded = np.zeros((k, -(-width // 6) * 6), dtype=np.uint8)  # zero padding to whole groups
+    padded[:, :width] = bits
+    groups = padded.reshape(k, -1, 6) @ np.array([32, 16, 8, 4, 2, 1], dtype=np.uint8)
+    out = np.hstack([np.tile(np.array(head, dtype=np.uint8), (k, 1)), groups]) + 63
+    return [row.tobytes().decode("ascii") for row in out]
 
 
 def to_graph6(g: Graph) -> str:
@@ -112,14 +123,10 @@ def to_graph6(g: Graph) -> str:
     n = g.n
     if n > _MAX_ENCODABLE:
         raise ValueError(f"order {n} exceeds supported graph6 range")
-    if n <= _ONE_BYTE_MAX:
-        out = [chr(n + 63)]
-    else:
-        out = ["~", chr(((n >> 12) & 63) + 63), chr(((n >> 6) & 63) + 63), chr((n & 63) + 63)]
-    bits = "".join("1" if (i, j) in g.edges else "0" for i, j in _pairs(n))
-    bits += "0" * (-len(bits) % 6)  # zero padding to a whole byte
-    out.extend(chr(int(bits[k:k + 6], 2) + 63) for k in range(0, len(bits), 6))
-    return "".join(out)
+    bits = np.zeros((1, n * (n - 1) // 2), dtype=np.uint8)
+    for i, j in g.edges:
+        bits[0, j * (j - 1) // 2 + i] = 1
+    return _encode(n, bits)[0]
 
 
 def _parse_loop_indices(body: str, line_number: int) -> frozenset:
@@ -182,16 +189,6 @@ def write_looped_graphs(graphs: Iterable[LoopedGraph]) -> Iterator[str]:
 
 
 def to_graph6_stack(a: np.ndarray) -> list[str]:
-    """to_graph6 of every 0/1 matrix of a (k, n, n) stack, n <= 62; diagonals are ignored."""
-    k, n, _ = a.shape
-    if n > _ONE_BYTE_MAX:
-        raise ValueError(f"order {n} needs the long graph6 length form")
-    j, i = np.tril_indices(n, -1)  # graph6 bit order: pairs i < j, column j by column j
-    bits = np.zeros((k, -(-len(i) // 6) * 6), dtype=np.uint8)
-    bits[:, :len(i)] = a[:, i, j]
-    out = np.empty((k, 1 + bits.shape[1] // 6), dtype=np.uint8)
-    out[:, 0] = n + 63
-    out[:, 1:] = bits.reshape(k, -1, 6) @ np.array([32, 16, 8, 4, 2, 1], dtype=np.uint8) + 63
-    text = out.tobytes().decode("ascii")
-    width = out.shape[1]
-    return [text[t * width:(t + 1) * width] for t in range(k)]
+    """to_graph6 of every 0/1 matrix of a (k, n, n) stack; diagonals are ignored."""
+    j, i = np.tril_indices(a.shape[1], -1)
+    return _encode(a.shape[1], a[:, i, j])

@@ -9,12 +9,12 @@ work is partitioned across processes.
 The scan draws its graphs as edge bitmasks, scattered into (k, n, n)
 adjacency stacks of at most 64 graphs; enumerate_graphs is a view that turns
 the rows of those stacks back into Graph objects. A kernel turns each stack
-into its records: the scan kernel solves the adjacency stack and the stack of
-all its loop placements, the thm1 family kernel the base stack and the stack
-of unions [[A, 0], [0, A + I]]. Both go through spectra.eigenvalues_stack and
-sum energies as energy._report does, so each record holds the same floats as
-the Graph/LoopedGraph object path (energy_simple, energy_looped,
-verify_theorem1), which stays the reference layer.
+into its records. The scan kernel solves the adjacency stack and the stack of
+all its loop placements through spectra.eigenvalues_stack and sums energies
+as energy._report does, so each record holds the same floats as energy_simple
+and energy_looped. The thm1 family kernel is energy._union_verdicts(stack, 1, 1),
+the stack form of verify_theorem1, with each verdict turned into a record. The
+Graph/LoopedGraph object path stays the reference layer.
 """
 
 from __future__ import annotations
@@ -23,13 +23,13 @@ import json
 import math
 import os
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from multiprocessing import Pool
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-from .energy import _condition_witness, _energy_sum
+from .energy import _energy_sum, _union_stack, _union_verdicts
 from .graph6 import to_graph6_stack
 from .graphs import Graph
 from .spectra import eigenvalues_stack
@@ -175,25 +175,18 @@ def _scan_kernel(a: np.ndarray, config: SearchConfig) -> list[SearchRecord]:
 def _family_kernel(a: np.ndarray, config: SearchConfig) -> list[SearchRecord]:
     """The verify_theorem1 verdict of each base graph G of a stack, as a record of G union G^l."""
     n = a.shape[1]
-    union = np.zeros((len(a), 2 * n, 2 * n))
-    union[:, :n, :n] = a
-    union[:, n:, n:] = a + np.eye(n)
-    base = eigenvalues_stack(a)
-    # p = q = 1: m = 2, and the union's shift n / 2n and the threshold max(p, q) / m are 1/2
-    rhs = (2 * _energy_sum(base.T, 0.0)).tolist()
-    lhs = _energy_sum(eigenvalues_stack(union).T, 0.5).tolist()
     loops = tuple(range(n, 2 * n))
-    return [_record(g6, loops, 2 * n, e_simple, e_looped, config.eq_tol,
-                    condition_met=_condition_witness(values, 0.5)[0] is None)
-            for g6, values, e_simple, e_looped
-            in zip(to_graph6_stack(union), base.tolist(), rhs, lhs)]
+    return [_record(g6, loops, 2 * n, v.rhs_energy, v.lhs_energy, config.eq_tol,
+                    condition_met=v.condition_holds)
+            for g6, v in zip(to_graph6_stack(_union_stack(a, 1, 1)), _union_verdicts(a, 1, 1))]
 
 
 def _stream(config: SearchConfig, workers: int, kernel: Kernel) -> Iterator[SearchRecord]:
     """kernel(stack, config) for every graph stack, in enumeration order; orders with
-    fewer than 4 * workers graphs run serially, the others share one process pool."""
-    if workers is None or workers < 1:
-        workers = os.cpu_count() or 1
+    fewer than 4 * workers graphs run serially, the others share one pool of at most
+    os.cpu_count() processes, terminated when the stream ends or is closed."""
+    cpus = os.cpu_count() or 1
+    workers = cpus if workers is None or workers < 1 else min(workers, cpus)
     pool = None
     try:
         for n in range(config.n_min, config.n_max + 1):
@@ -202,22 +195,19 @@ def _stream(config: SearchConfig, workers: int, kernel: Kernel) -> Iterator[Sear
                 for a in _graph_stacks(n, config.connected_only):
                     yield from kernel(a, config)
                 continue
-            pool = pool or ProcessPoolExecutor(max_workers=workers)
+            pool = pool or Pool(workers)
             pending = deque()
             for a in _graph_stacks(n, config.connected_only,
                                    max(1, min(CHUNK_MAX, total // (workers * 8)))):
-                # a map of one job submits it at once; map, not submit, so that
-                # perfbench/traced.py still times the wait on its results
-                pending.append(pool.map(kernel, [a], [config]))
+                pending.append(pool.apply_async(kernel, (a, config)))
                 if len(pending) == 2 * workers:
-                    yield from next(pending.popleft())
+                    yield from pending.popleft().get()
             while pending:
-                yield from next(pending.popleft())
+                yield from pending.popleft().get()
     finally:
         if pool is not None:
-            # closing the stream early returns at once: queued stacks are
-            # cancelled, and the workers finish the ones they hold on their own
-            pool.shutdown(wait=False, cancel_futures=True)
+            # a closed stream may leave stacks queued or running: stop the workers now
+            pool.terminate()
 
 
 def scan(config: SearchConfig, workers: int = 1) -> Iterator[SearchRecord]:

@@ -321,19 +321,19 @@ def test_search_connected_all_sigma_matches_golden_digest(monkeypatch, capsys):
 def test_search_starts_one_pool_per_scan(monkeypatch, capsys):
     # orders 3, 4 and 5 all go through the pool at 2 workers; it is started once
     started = []
+    pool = search.Pool
 
-    class CountingPool(search.ProcessPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            started.append(kwargs)
-            super().__init__(*args, **kwargs)
+    def counting_pool(processes):
+        started.append(processes)
+        return pool(processes)
 
-    monkeypatch.setattr(search, "ProcessPoolExecutor", CountingPool)
+    monkeypatch.setattr(search, "Pool", counting_pool)
     monkeypatch.setenv("LOOP_ENERGY_THREADS", "2")
     code, out, err = run_cli(["search", "--n-max", "5"], capsys=capsys)
     assert code == 0
     assert hashlib.sha256(out.encode("ascii")).hexdigest().startswith("f55f583cb87ff0d0")
     assert err.startswith("records=31668 ")
-    assert started == [{"max_workers": 2}]
+    assert started == [2]
 
 
 def _seeded_looped_graphs(tmp_path):

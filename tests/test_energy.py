@@ -142,12 +142,26 @@ def test_scaled_union_rejects_no_copies():
 
 def test_verify_theorem2_rejects_union_above_order_limit(monkeypatch):
     # 2049 copies of an edge make 4098 vertices; refused before any copy is built
-    def no_union(parts):
+    def no_union(a, p, q):
         raise AssertionError("union built before the order check")
 
-    monkeypatch.setattr(energy, "union_looped", no_union)
+    monkeypatch.setattr(energy, "_union_verdicts", no_union)
     with pytest.raises(ValueError, match="4096"):
         verify_theorem2(complete_graph(2), 2049, 0)
+
+
+def test_verify_theorem2_is_the_object_union_composition():
+    # the union built as a LoopedGraph and solved on its own is the reference:
+    # every field derived from it must come out float for float
+    pq = [(p, q) for p in range(4) for q in range(4) if p + q >= 1]
+    for g in [empty_graph(0)] + [g for n in range(1, 5) for g in enumerate_graphs(n)]:
+        e = energy_simple(g).energy
+        for p, q in pq:
+            parts = [with_loops(g, ()) for _ in range(p)] + [with_all_loops(g) for _ in range(q)]
+            lhs = energy_looped(union_looped(parts)).energy
+            v = verify_theorem2(g, p, q)
+            assert (v.lhs_energy, v.rhs_energy, v.abs_gap) == (lhs, (p + q) * e,
+                                                               abs(lhs - (p + q) * e))
 
 
 def _energy_gap(g, loops):

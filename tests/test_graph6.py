@@ -189,6 +189,15 @@ def test_stack_encoder_matches_to_graph6_up_to_one_length_byte(g):
     assert to_graph6_stack(stack) == [to_graph6(g)]
 
 
-def test_stack_encoder_rejects_the_long_length_form():
-    with pytest.raises(ValueError, match="long graph6 length form"):
-        to_graph6_stack(np.zeros((1, 63, 63)))
+@pytest.mark.parametrize("n", range(63, 71))
+def test_stack_encoder_writes_the_long_length_form(n):
+    # from order 63 on, graph6 writes the 18-bit length form "~" + 3 bytes
+    rng = np.random.default_rng(n)
+    upper = np.triu(rng.integers(0, 2, size=(3, n, n)), 1)
+    stack = (upper + upper.transpose(0, 2, 1)).astype(np.float64)
+    every = [Graph(n, frozenset(zip(*(ix.tolist() for ix in np.nonzero(a))))) for a in upper]
+    expected = [_nx_encode(g) for g in every]
+    assert all(s.startswith("~") for s in expected)
+    assert to_graph6_stack(stack) == expected
+    assert [to_graph6(g) for g in every] == expected
+    assert [from_graph6(s) for s in expected] == every

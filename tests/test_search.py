@@ -1,8 +1,11 @@
 import hashlib
 import json
 import math
+import multiprocessing
+import os
 import time
 from itertools import combinations
+from types import SimpleNamespace
 
 import networkx as nx
 import numpy as np
@@ -25,10 +28,12 @@ from loop_energy import (
     from_graph6,
     scan,
     to_graph6,
+    union_looped,
     verify_theorem1,
+    with_all_loops,
     with_loops,
 )
-from loop_energy import search
+from loop_energy import energy, search
 from loop_energy.search import (
     EQUAL,
     LOOPED_GREATER,
@@ -153,6 +158,40 @@ def test_scan_draws_graphs_as_it_needs_them(monkeypatch, stream, n, workers):
     assert 0 < sum(drawn) <= 256
 
 
+def test_closing_a_pooled_scan_stops_its_workers(monkeypatch):
+    # the workers may still hold stacks of the closed stream: none may run on
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    records = scan(SearchConfig(n_min=5, n_max=5), workers=2)
+    next(records)
+    assert multiprocessing.active_children()
+    records.close()
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("workers", [0, 1000])
+def test_worker_count_is_capped_at_the_cpu_count(monkeypatch, workers):
+    # an in-process pool records the size it is asked for, so that a broken cap
+    # starts no process at all
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def apply_async(self, fn, args):
+            records = fn(*args)
+            return SimpleNamespace(get=lambda: records)
+
+        def terminate(self):
+            pass
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    monkeypatch.setattr(search, "Pool", RecordingPool)
+    config = SearchConfig(n_max=4)
+    assert list(scan(config, workers=workers)) == list(scan(config))
+    assert sizes == [3]
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 def test_scan_builds_no_graph_objects(monkeypatch, workers):
     # the stream runs on edge-bitmask stacks; Graph is the reference layer only
@@ -264,23 +303,25 @@ def test_family_records_are_the_verify_theorem1_verdicts():
     records = list(find_theorem_family_instances(SearchConfig(n_min=1, n_max=4)))
     assert len(records) == len(bases)
     for g, r in zip(bases, records):
-        verdict = verify_theorem1(g)
+        # the object union, built and solved on its own, gives the expected floats
+        union = union_looped([with_loops(g, ()), with_all_loops(g)])
         assert r.graph6 == to_graph6(disjoint_union(g, g))
-        assert (r.e_looped, r.e_simple) == (verdict.lhs_energy, verdict.rhs_energy)
-        assert r.condition_met is verdict.condition_holds
+        assert (r.e_looped, r.e_simple) == (energy_looped(union).energy,
+                                            2 * energy_simple(g).energy)
+        assert r.condition_met is verify_theorem1(g).condition_holds
 
 
 def test_family_scan_solves_twice_per_record(monkeypatch):
     # two matrices of each record reach the stack solve: the base graph of
     # order n / 2 and the union of order n
     orders = []
-    solve = search.eigenvalues_stack
+    solve = energy.eigenvalues_stack
 
     def counting(stack):
         orders.extend([stack.shape[1]] * len(stack))
         return solve(stack)
 
-    monkeypatch.setattr(search, "eigenvalues_stack", counting)
+    monkeypatch.setattr(energy, "eigenvalues_stack", counting)
     records = list(find_theorem_family_instances(SearchConfig(n_min=1, n_max=3)))
     assert len(orders) == 2 * len(records)
     assert sorted(orders) == sorted(n for r in records for n in (r.n // 2, r.n))
