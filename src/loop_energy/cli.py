@@ -7,6 +7,8 @@ eigenvalue that is rounding noise around 0 prints as 0 (search.snap).
 
 Exit codes: 0 success; 2 parse or usage error. argparse reports a malformed
 command line itself; any error after that is one 'error: ...' line on stderr.
+141 (128 + SIGPIPE) = the reader closed stdout early, as in `| head`; that
+ends the output quietly, with nothing on stderr.
 The verify commands add:
 1 = condition held but the identity gap exceeded tolerance (a pipeline bug),
 3 = condition failed (informational; both energies are still printed).
@@ -19,7 +21,7 @@ import math
 import os
 import sys
 from dataclasses import replace
-from typing import Iterable, Iterator, Sequence, TextIO
+from typing import Generator, Iterable, Iterator, Sequence, TextIO
 
 from . import search as search_mod
 from .energy import TheoremVerdict, check_copy_counts, energy_looped, verify_theorem2
@@ -134,7 +136,7 @@ def _cmd_search(args) -> int:
     config = SearchConfig(sigma_policy=args.sigma, eq_tol=args.eq_tol,
                           connected_only=args.connected)
     if args.family == "thm1" and n_min > n_max:  # no even union order in range
-        records: Iterator[search_mod.SearchRecord] = iter(())
+        records: Generator[search_mod.SearchRecord, None, None] = (r for r in ())
     else:
         config = replace(config, n_min=n_min, n_max=n_max)
         if args.family == "thm1":
@@ -159,8 +161,11 @@ def _cmd_search(args) -> int:
     else:
         lines = to_jsonl(counted(records))
 
-    for line in lines:
-        print(line)
+    try:
+        for line in lines:
+            print(line)
+    finally:  # a reader that closed the pipe early must not leave the pool running
+        records.close()
     summary = " ".join(
         [f"records={total}"]
         + [f"{label}={counts[label]}" for label in search_mod.CLASSES]
@@ -292,6 +297,11 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     try:
         return args.run(args)
+    except BrokenPipeError:
+        # the reader has all it wants; the interpreter's last flush of the
+        # buffered rest goes to devnull instead of raising again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (ValueError, OSError) as e:  # includes both graph6 parse errors
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -5,14 +5,15 @@ stack, checks it once (finite and symmetric, as SymmetricMatrix does), and
 returns each matrix's eigenvalues in descending order. eigenvalues() of one
 SymmetricMatrix is a stack of one through the same private solve, so both
 return the same floats. The order rule is written there once: above
-JACOBI_MAX_ORDER (8) the whole stack goes to one batched LAPACK call through
+JACOBI_MAX_ORDER (5) the whole stack goes to one batched LAPACK call through
 numpy.linalg, and at or below it cyclic Jacobi rotations in pure Python solve
 the matrices one by one; they converge unconditionally for symmetric input,
-and every matrix the exhaustive scan solves is of such an order. The
-renderers print rounding noise around 0 as 0 (search.snap), so both backends
-print the same bytes on the outputs the tests compare; on some other input a
-value away from 0 could still round to another tenth digit, so the scan
-stays on Jacobi.
+and every matrix of the default scan (orders up to search.DEFAULT_MAX_ORDER)
+is of such an order. The renderers print rounding noise around 0 as 0
+(search.snap), so both backends print the same bytes on the outputs the
+tests compare; on some other input a value away from 0 could still round to
+another tenth digit, so the default scan stays on Jacobi, and a
+--force-large scan above it may differ from Jacobi in a last printed digit.
 Either backend raises numpy.linalg.LinAlgError if it fails. Adjacency
 matrices are limited to order 4,096 (graphs.MAX_MATRIX_ORDER).
 
@@ -28,10 +29,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# orders above this go to LAPACK; search.MAX_ORDER must not exceed it, so the
-# scan's output does not depend on LAPACK: printing noise as 0 makes the
-# backends agree on the outputs the tests compare, not on every input
-JACOBI_MAX_ORDER = 8
+# orders above this go to LAPACK; it equals search.DEFAULT_MAX_ORDER, so the
+# default scan's output does not depend on LAPACK: printing noise as 0 makes
+# the backends agree on the outputs the tests compare, not on every input
+JACOBI_MAX_ORDER = 5
 SWEEP_CAP = 100
 # off-diagonal Frobenius norm must drop below this times (1 + ||A||_F)
 CONVERGENCE_RTOL = 1e-12

@@ -368,8 +368,8 @@ FAMILY = ["search", "--family", "thm1", "--n-min", "2"]
          "family-10-jsonl", "energy", "spectrum"],
 )
 def test_stdout_is_the_same_on_either_backend(monkeypatch, capsys, tmp_path, argv):
-    # Jacobi solves every order up to JACOBI_MAX_ORDER (8); at 0 LAPACK solves
-    # them all. Rounding noise prints as 0, so both print the same bytes
+    # at JACOBI_MAX_ORDER 8 Jacobi solves every order up to 8; at 0 LAPACK
+    # solves them all. Rounding noise prints as 0, so both print the same bytes
     if argv[-1] is None:
         argv = [argv[0], _seeded_looped_graphs(tmp_path)]
     monkeypatch.setenv("LOOP_ENERGY_THREADS", "1")
@@ -502,6 +502,27 @@ def test_module_entry_point_runs():
     )
     assert proc.returncode == 0
     assert "energy 4.000000000" in proc.stdout
+
+
+@pytest.mark.parametrize(
+    "argv, threads",
+    [(["search"], "1"), (["search"], "2"), (["energy", None], "1")],
+    ids=["search-w1", "search-w2", "energy"],
+)
+def test_closed_stdout_ends_the_output_quietly(monkeypatch, tmp_path, argv, threads):
+    # as `loop-energy search | head -1`: the reader leaves after one line, and
+    # every later write meets a closed pipe. Each output is far above a pipe's
+    # buffer, so the writes do meet it
+    if argv[-1] is None:
+        argv = [argv[0], write(tmp_path, "g", (TRIANGLE + "\n") * 20_000)]
+    monkeypatch.setenv("LOOP_ENERGY_THREADS", threads)
+    proc = subprocess.Popen([sys.executable, "-m", "loop_energy", *argv],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    assert proc.stdout.readline()
+    proc.stdout.close()
+    assert proc.wait(timeout=60) == 141
+    assert proc.stderr.read() == ""
+    proc.stderr.close()
 
 
 @pytest.mark.skipif(shutil.which("loop-energy") is None, reason="script not on PATH")

@@ -4,7 +4,7 @@ import math
 import multiprocessing
 import os
 import time
-from itertools import combinations
+from itertools import combinations, islice
 from types import SimpleNamespace
 
 import networkx as nx
@@ -129,6 +129,19 @@ def test_scan_to_order_four_matches_golden_digest(workers):
     assert hashlib.sha256(tsv.encode("ascii")).hexdigest().startswith("61d229e17d63c75b")
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_scan_of_order_six_matches_golden_digest(workers):
+    # the header and first 50,000 records of `search --n-min 6 --n-max 6
+    # --force-large`; order 6 goes to LAPACK, so this pins the bytes of the
+    # numpy build in use (Jacobi prints 6 of these lines differently, in the
+    # tenth digit of a gap)
+    records = scan(SearchConfig(n_min=6, n_max=6), workers=workers)
+    lines = islice(to_tsv(records), 50_001)
+    tsv = "".join(line + "\n" for line in lines)
+    records.close()
+    assert hashlib.sha256(tsv.encode("ascii")).hexdigest().startswith("de80a017aa7a3a05")
+
+
 @pytest.mark.parametrize(
     "stream, n, workers",
     [(scan, 5, 1), (scan, 5, 2), (scan, 6, 2),
@@ -229,8 +242,9 @@ def test_scan_connected_only_keeps_the_connected_records(workers):
     ids=["jsonl", "tsv"],
 )
 def test_family_to_union_order_eight_matches_golden_digest(render, digest, workers):
-    # sha256 of `search --family thm1 --n-min 2 --n-max 8` stdout; Jacobi solves
-    # every matrix up to order 8, so the bytes do not depend on the LAPACK build
+    # sha256 of `search --family thm1 --n-min 2 --n-max 8` stdout; the unions of
+    # order 6 and 8 go to LAPACK, and rounding noise prints as 0, so Jacobi
+    # prints the same bytes (test_stdout_is_the_same_on_either_backend)
     records = find_theorem_family_instances(SearchConfig(n_min=1, n_max=4), workers=workers)
     text = "".join(line + "\n" for line in render(records))
     assert hashlib.sha256(text.encode("ascii")).hexdigest().startswith(digest)
