@@ -21,32 +21,42 @@ import math
 import os
 import sys
 from dataclasses import replace
-from typing import Generator, Iterable, Iterator, Sequence, TextIO
+from typing import Callable, Generator, Iterable, Iterator, Sequence
+
+import numpy as np
 
 from . import search as search_mod
-from .energy import TheoremVerdict, check_copy_counts, energy_looped, verify_theorem2
-from .graph6 import LoopFileParseError, read_looped_graphs, write_looped_graphs
-from .graphs import Graph, LoopedGraph, adjacency_matrix, with_loops
+from .energy import TheoremVerdict, _energy_sum, _shift, check_copy_counts, verify_theorem2
+from .graph6 import (Entry, LoopFileParseError, adjacency_stack, read_entries,
+                     read_looped_graphs, write_looped_graphs)
+from .graphs import Graph, LoopedGraph, with_loops
 from .search import SearchConfig, fmt10, snap, to_jsonl, to_tsv
-from .spectra import Spectrum
+from .spectra import eigenvalues_stack
 
 ENV_THREADS = "LOOP_ENERGY_THREADS"
+# matrix cells (k * n^2 summed over a block's stacks) held at once; one entry
+# above it is a block of its own. 2^20 float64 cells are 8 MB
+BLOCK_CELLS = 1 << 20
 
 
 def _read_lines(path: str) -> list[str]:
+    # bytes decoded latin-1, one char per byte, from a file and from stdin
+    # alike: an error names the offending byte itself
     if path == "-":
-        return sys.stdin.read().splitlines()
-    with open(path, "r", encoding="ascii") as fh:
-        return fh.read().splitlines()
+        data = sys.stdin.buffer.read()
+    else:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    return data.decode("latin-1").splitlines()
 
 
-def _parse_entries(path: str) -> list[LoopedGraph]:
-    # parsed in full before anything is printed: a bad line rejects the input
-    return list(read_looped_graphs(_read_lines(path)))
+def _read_entries(path: str) -> list[Entry]:
+    # validated in full before anything is printed: a bad line rejects the input
+    return list(read_entries(_read_lines(path)))
 
 
 def _single_simple_graph(path: str) -> Graph:
-    entries = _parse_entries(path)
+    entries = list(read_looped_graphs(_read_lines(path)))
     if len(entries) != 1:
         raise LoopFileParseError(1, f"expected exactly one graph, found {len(entries)}")
     if entries[0].loops:
@@ -54,32 +64,67 @@ def _single_simple_graph(path: str) -> Graph:
     return entries[0].base
 
 
-def _spectrum_fields(spectrum: Spectrum) -> list[str]:
+def _blocks(entries: Sequence[Entry]) -> Iterator[list[Entry]]:
+    # consecutive runs of at most CHUNK_MAX entries and BLOCK_CELLS cells
+    block: list[Entry] = []
+    cells = 0
+    for e in entries:
+        if block and (len(block) == search_mod.CHUNK_MAX or cells + e.n * e.n > BLOCK_CELLS):
+            yield block
+            block, cells = [], 0
+        block.append(e)
+        cells += e.n * e.n
+    if block:
+        yield block
+
+
+def _per_entry(entries: Sequence[Entry], f: Callable[[np.ndarray], Sequence]) -> Iterator[tuple]:
+    """Each entry with its row of f(adjacency stack), in input order.
+
+    f gets one stack per order in each block (see _blocks), so the stacks in
+    memory stay bounded; a block's rows are yielded before the next block's
+    stacks are built.
+    """
+    for block in _blocks(entries):
+        rows: list = [None] * len(block)
+        for n in {e.n for e in block}:
+            at = [i for i, e in enumerate(block) if e.n == n]
+            for i, row in zip(at, f(adjacency_stack([block[i] for i in at]))):
+                rows[i] = row
+        yield from zip(block, rows)
+
+
+def _spectra(entries: Sequence[Entry]) -> Iterator[tuple[Entry, list[float]]]:
+    # one solve per order in a block; each row holds eigenvalues() floats, descending
+    return _per_entry(entries, lambda a: eigenvalues_stack(a).tolist())
+
+
+def _spectrum_fields(values: Sequence[float]) -> list[str]:
     # an eigenvalue within rounding noise of 0, relative to the spectrum's 2-norm, prints as 0
-    scale = math.hypot(*spectrum)
-    return [fmt10(snap(v, scale)) for v in spectrum]
+    scale = math.hypot(*values)
+    return [fmt10(snap(v, scale)) for v in values]
 
 
-def _print_report(lg: LoopedGraph, out: TextIO) -> None:
-    report = energy_looped(lg)
-    print(f"n {report.n}", file=out)
-    print(f"sigma {report.sigma}", file=out)
-    print(f"shift {fmt10(report.shift)}", file=out)
-    print(" ".join(["spectrum", *_spectrum_fields(report.spectrum)]), file=out)
-    print(f"energy {fmt10(report.energy)}", file=out)
+def _report_text(e: Entry, values: Sequence[float]) -> str:
+    # the energy_looped report of the entry, from its eigenvalues
+    sigma = len(e.loops)
+    shift = _shift(e.n, sigma)
+    return (f"n {e.n}\nsigma {sigma}\nshift {fmt10(shift)}\n"
+            f"{' '.join(['spectrum', *_spectrum_fields(values)])}\n"
+            f"energy {fmt10(_energy_sum(values, shift))}\n")
 
 
 def _cmd_energy(args) -> int:
-    for k, lg in enumerate(_parse_entries(args.input)):
+    for k, (e, values) in enumerate(_spectra(_read_entries(args.input))):
         if k:
             print()
-        _print_report(lg, sys.stdout)
+        sys.stdout.write(_report_text(e, values))
     return 0
 
 
 def _cmd_spectrum(args) -> int:
-    for lg in _parse_entries(args.input):
-        print(" ".join(_spectrum_fields(energy_looped(lg).spectrum)))
+    for _, values in _spectra(_read_entries(args.input)):
+        print(" ".join(_spectrum_fields(values)))
     return 0
 
 
@@ -211,12 +256,12 @@ def _parse_matrix_block(block: Sequence[str]) -> LoopedGraph:
 
 def _cmd_convert(args) -> int:
     if args.to == "matrix":
-        for k, lg in enumerate(_parse_entries(args.input)):
+        matrices = _per_entry(_read_entries(args.input), lambda a: a.astype(np.int64).tolist())
+        for k, (_, rows) in enumerate(matrices):
             if k:
                 print()
-            a = adjacency_matrix(lg).data
-            for row in a:
-                print(" ".join(str(int(x)) for x in row))
+            for row in rows:
+                print(" ".join(map(str, row)))
         return 0
     entries = [_parse_matrix_block(block) for block in _matrix_blocks(_read_lines(args.input))]
     for line in write_looped_graphs(entries):

@@ -72,6 +72,11 @@ def _energy_sum(values, shift):
     return total
 
 
+def _shift(n: int, sigma: int) -> float:
+    """sigma/n, the shift of a looped graph's energy; 0 for the empty graph."""
+    return sigma / n if n else 0.0
+
+
 def _condition_witness(values: Sequence[float], threshold: float) -> tuple[float | None, bool]:
     """The union-family condition |lambda| >= threshold on a base spectrum.
 
@@ -94,7 +99,7 @@ def _condition_witness(values: Sequence[float], threshold: float) -> tuple[float
 
 
 def _report(n: int, sigma: int, spectrum: Spectrum) -> EnergyReport:
-    shift = sigma / n if n else 0.0
+    shift = _shift(n, sigma)
     return EnergyReport(n=n, sigma=sigma, spectrum=spectrum, shift=shift,
                         energy=_energy_sum(spectrum, shift))
 
@@ -155,7 +160,7 @@ def _union_verdicts(a: np.ndarray, p: int, q: int) -> list[TheoremVerdict]:
     """The verify_theorem2 verdict of each base matrix of a (k, n, n) stack: the base
     stack and the union stack are each solved in one call."""
     n, m = a.shape[1], p + q
-    shift = q * n / (m * n) if n else 0.0
+    shift = _shift(m * n, q * n)
     verdicts = []
     for values, looped in zip(eigenvalues_stack(a).tolist(),
                               eigenvalues_stack(_union_stack(a, p, q)).tolist()):

@@ -6,20 +6,29 @@ an absent sidecar means no loops. One graph per line; the optional
 ">>graph6<<" header is tolerated on input and never written. The decoder
 rejects orders above graphs.MAX_MATRIX_ORDER at the length bytes, before it
 reads any edge data.
+
+Input is decoded a stack at a time. read_entries validates a graph6+sidecar
+stream into Entry records (order, edge bytes, loops, line number), and
+adjacency_stack scatters the edge bits of entries of one order into a
+(k, n, n) stack, the inverse of to_graph6_stack. The object API is a view
+of these two: from_graph6 is their one-row call, and read_looped_graphs
+builds each entry's LoopedGraph from its one-row stack, so every check
+lives in read_entries and the helpers it calls.
 """
 
 from __future__ import annotations
 
-import math
-from typing import Iterable, Iterator
+import re
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .graphs import Graph, LoopedGraph, check_matrix_order, with_loops
+from .graphs import Graph, LoopedGraph, check_loop_indices, check_matrix_order, with_loops
 
 HEADER = ">>graph6<<"
 _MAX_ENCODABLE = 258047  # largest order for the 18-bit length form
 _ONE_BYTE_MAX = 62  # largest order written with one length byte
+_OUTSIDE = re.compile("[^?-~]")  # a char outside the graph6 alphabet, bytes 63-126
 
 
 class Graph6ParseError(ValueError):
@@ -38,12 +47,26 @@ class LoopFileParseError(ValueError):
         self.line_number = line_number
 
 
+class Entry(NamedTuple):
+    """One validated graph6 line and its sidecar: the order, the graph6 edge
+    bytes, the loop indices and the 1-based number of the graph6 line."""
+
+    n: int
+    edges: str
+    loops: frozenset
+    line: int
+
+
+def _outside(s: str, pos: int) -> Graph6ParseError:
+    return Graph6ParseError(f"byte {ord(s[pos])} outside graph6 alphabet", pos)
+
+
 def _value(s: str, pos: int) -> int:
     if pos >= len(s):
         raise Graph6ParseError("unexpected end of input", len(s))
     b = ord(s[pos])
     if b < 63 or b > 126:
-        raise Graph6ParseError(f"byte {b} outside graph6 alphabet", pos)
+        raise _outside(s, pos)
     return b - 63
 
 
@@ -78,32 +101,56 @@ def _parse_order(s: str, pos: int) -> tuple[int, int]:
     return _checked_order(n, pos + 1), pos + 4
 
 
-def from_graph6(text: str) -> Graph:
-    """Decode one graph6 string (optional header, trailing newline tolerated)."""
-    s = text.rstrip("\r\n")
-    pos = 0
-    if s.startswith(HEADER):
-        pos = len(HEADER)
+def _decode(s: str) -> tuple[int, str]:
+    """The order and the edge bytes of one graph6 string without its line end."""
+    pos = len(HEADER) if s.startswith(HEADER) else 0
     if pos >= len(s):
         raise Graph6ParseError("empty graph6 string", pos)
     n, pos = _parse_order(s, pos)
-    nbytes = (n * (n - 1) // 2 + 5) // 6
-    # every byte is decoded before the length checks, so an out-of-alphabet
+    # every byte is checked before the length checks, so an out-of-alphabet
     # byte is flagged at its own offset
-    groups = [_value(s, k) for k in range(pos, len(s))]
-    if len(groups) < nbytes:
+    bad = _OUTSIDE.search(s, pos)
+    if bad:
+        raise _outside(s, bad.start())
+    nbytes = (n * (n - 1) // 2 + 5) // 6
+    if len(s) - pos < nbytes:
         raise Graph6ParseError(
-            f"truncated edge data: need {nbytes} bytes, have {len(groups)}", len(s)
+            f"truncated edge data: need {nbytes} bytes, have {len(s) - pos}", len(s)
         )
-    if len(groups) > nbytes:
+    if len(s) - pos > nbytes:
         raise Graph6ParseError("trailing bytes after edge data", pos + nbytes)
-    bits = np.unpackbits(np.array(groups, dtype=np.uint8)[:, np.newaxis], axis=1)[:, 2:].ravel()
-    edges = []
-    for b in np.flatnonzero(bits[:n * (n - 1) // 2]).tolist():
-        # bit b = j(j-1)/2 + i is the pair i < j, so isqrt(8b + 1) is 2j - 1 or 2j
-        j = (math.isqrt(8 * b + 1) + 1) // 2
-        edges.append((b - j * (j - 1) // 2, j))
-    return Graph(n, frozenset(edges))
+    return n, s[pos:]
+
+
+def adjacency_stack(entries: Sequence[Entry]) -> np.ndarray:
+    """The float64 (k, n, n) adjacency stack of k entries of one order n: the
+    edges from their graph6 bits, the loops on the diagonal."""
+    k, n = len(entries), entries[0].n
+    nbytes = (n * (n - 1) // 2 + 5) // 6
+    groups = np.frombuffer("".join(e.edges for e in entries).encode("ascii"), dtype=np.uint8)
+    bits = np.unpackbits((groups - 63).reshape(k, nbytes, 1), axis=2)[:, :, 2:]
+    # bit j(j-1)/2 + i is the pair i < j, the order of np.tril_indices' (j, i);
+    # padding bits past the last pair are ignored
+    j, i = np.tril_indices(n, -1)
+    a = np.zeros((k, n, n))
+    a[:, i, j] = a[:, j, i] = bits.reshape(k, 6 * nbytes)[:, :len(i)]
+    looped = [(r, v) for r, e in enumerate(entries) for v in e.loops]
+    if looped:
+        r, v = np.array(looped).T
+        a[r, v, v] = 1.0
+    return a
+
+
+def _graph(a: np.ndarray) -> Graph:
+    # the simple graph of one adjacency matrix; the diagonal is ignored
+    i, j = np.nonzero(np.triu(a, 1))
+    return Graph(len(a), frozenset(zip(i.tolist(), j.tolist())))
+
+
+def from_graph6(text: str) -> Graph:
+    """Decode one graph6 string (optional header, trailing newline tolerated)."""
+    n, edges = _decode(text.rstrip("\r\n"))
+    return _graph(adjacency_stack([Entry(n, edges, frozenset(), 1)])[0])
 
 
 def _encode(n: int, bits: np.ndarray) -> list[str]:
@@ -146,9 +193,14 @@ def _parse_loop_indices(body: str, line_number: int) -> frozenset:
     return frozenset(indices)
 
 
-def read_looped_graphs(lines: Iterable[str]) -> Iterator[LoopedGraph]:
-    """Parse a graph6+sidecar stream into looped graphs, in file order."""
-    pending: LoopedGraph | None = None
+def read_entries(lines: Iterable[str]) -> Iterator[Entry]:
+    """Validate a graph6+sidecar stream into entries, in file order.
+
+    An entry is yielded once the next graph6 line or the end of the stream
+    shows that it has no more sidecar; a bad line raises LoopFileParseError
+    with its line number.
+    """
+    pending: Entry | None = None
     pending_had_sidecar = False
     for line_number, raw in enumerate(lines, start=1):
         stripped = raw.strip()
@@ -163,21 +215,28 @@ def read_looped_graphs(lines: Iterable[str]) -> Iterator[LoopedGraph]:
                 raise LoopFileParseError(line_number, "duplicate loop sidecar")
             loops = _parse_loop_indices(stripped[2:], line_number)
             try:
-                pending = with_loops(pending.base, loops)
+                check_loop_indices(pending.n, loops)
             except ValueError as e:
                 raise LoopFileParseError(line_number, str(e)) from e
+            pending = pending._replace(loops=loops)
             pending_had_sidecar = True
             continue
         if pending is not None:
             yield pending
         try:
-            base = from_graph6(stripped)
+            n, edges = _decode(stripped)
         except Graph6ParseError as e:
             raise LoopFileParseError(line_number, str(e)) from e
-        pending = with_loops(base, ())
+        pending = Entry(n, edges, frozenset(), line_number)
         pending_had_sidecar = False
     if pending is not None:
         yield pending
+
+
+def read_looped_graphs(lines: Iterable[str]) -> Iterator[LoopedGraph]:
+    """Parse a graph6+sidecar stream into looped graphs, in file order."""
+    for entry in read_entries(lines):
+        yield with_loops(_graph(adjacency_stack([entry])[0]), entry.loops)
 
 
 def write_looped_graphs(graphs: Iterable[LoopedGraph]) -> Iterator[str]:

@@ -50,9 +50,7 @@ class LoopedGraph:
 
     def __post_init__(self):
         loops = frozenset(self.loops)
-        for i in loops:
-            if not (0 <= i < self.base.n):
-                raise ValueError(f"loop index {i} out of range for n={self.base.n}")
+        check_loop_indices(self.base.n, loops)
         object.__setattr__(self, "loops", loops)
 
     @property
@@ -107,6 +105,13 @@ def adjacency_matrix(g: Graph | LoopedGraph) -> SymmetricMatrix:
     for i in g.loops:
         a[i, i] = 1
     return SymmetricMatrix(a)
+
+
+def check_loop_indices(n: int, loops: Iterable[int]) -> None:
+    """Raise ValueError at the first loop index outside range(n)."""
+    for i in loops:
+        if not (0 <= i < n):
+            raise ValueError(f"loop index {i} out of range for n={n}")
 
 
 def check_matrix_order(n: int) -> None:

@@ -6,9 +6,11 @@ relabelings build test inputs and independent cross-checks around it.
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
-from loop_energy import Graph, LoopedGraph
+from loop_energy import Graph, LoopedGraph, adjacency_matrix, energy_looped, read_looped_graphs
+from loop_energy.search import fmt10, snap
 
 
 def empty_graph(n: int) -> Graph:
@@ -52,3 +54,28 @@ def poly_at(coefficients: Sequence, x):
     for c in coefficients[1:]:
         acc = acc * x + c
     return acc
+
+
+def _spectrum_fields(spectrum) -> list[str]:
+    scale = math.hypot(*spectrum)
+    return [fmt10(snap(v, scale)) for v in spectrum]
+
+
+def file_command_stdout(command: str, text: str) -> str:
+    """The stdout of `energy`, `spectrum` or `convert --to matrix` on graph6+sidecar
+    text, computed one graph at a time through the object API: read_looped_graphs,
+    then energy_looped or adjacency_matrix, each rendered as those commands print."""
+    blocks = []
+    for lg in read_looped_graphs(text.splitlines()):
+        if command == "energy":
+            report = energy_looped(lg)
+            lines = [f"n {report.n}", f"sigma {report.sigma}", f"shift {fmt10(report.shift)}",
+                     " ".join(["spectrum", *_spectrum_fields(report.spectrum)]),
+                     f"energy {fmt10(report.energy)}"]
+        elif command == "spectrum":
+            lines = [" ".join(_spectrum_fields(energy_looped(lg).spectrum))]
+        else:
+            lines = [" ".join(str(int(x)) for x in row) for row in adjacency_matrix(lg).data]
+        blocks.append("".join(line + "\n" for line in lines))
+    # energy reports and matrices are separated by a blank line
+    return ("" if command == "spectrum" else "\n").join(blocks)

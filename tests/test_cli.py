@@ -36,8 +36,10 @@ EXAMPLE_MATRIX = [
 
 
 def run_cli(argv, stdin_text=None, monkeypatch=None, capsys=None):
+    # stdin is read as bytes, so it is given as a byte stream under a text layer
     if stdin_text is not None:
-        monkeypatch.setattr("sys.stdin", io.StringIO(stdin_text))
+        data = stdin_text if isinstance(stdin_text, bytes) else stdin_text.encode("ascii")
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data)))
     code = main(argv)
     out, err = capsys.readouterr()
     return code, out, err
