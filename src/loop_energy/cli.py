@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import re
 import sys
 from dataclasses import replace
 from typing import Callable, Generator, Iterable, Iterator, Sequence
@@ -37,17 +38,19 @@ ENV_THREADS = "LOOP_ENERGY_THREADS"
 # matrix cells (k * n^2 summed over a block's stacks) held at once; one entry
 # above it is a block of its own. 2^20 float64 cells are 8 MB
 BLOCK_CELLS = 1 << 20
+_TOKEN = re.compile(r"\S+", re.ASCII)  # a run of bytes other than ASCII whitespace
 
 
 def _read_lines(path: str) -> list[str]:
-    # bytes decoded latin-1, one char per byte, from a file and from stdin
-    # alike: an error names the offending byte itself
+    # lines end at LF, CR or CRLF only (bytes.splitlines, not str's Unicode
+    # rules); each is decoded latin-1, one char per byte, from a file and from
+    # stdin alike: an error names the offending byte itself
     if path == "-":
         data = sys.stdin.buffer.read()
     else:
         with open(path, "rb") as fh:
             data = fh.read()
-    return data.decode("latin-1").splitlines()
+    return [line.decode("latin-1") for line in data.splitlines()]
 
 
 def _read_entries(path: str) -> list[Entry]:
@@ -223,7 +226,7 @@ def _cmd_search(args) -> int:
 def _matrix_blocks(lines: Sequence[str]) -> Iterator[list[str]]:
     block: list[str] = []
     for line in lines:
-        if line.strip():
+        if _TOKEN.search(line):
             block.append(line)
         elif block:
             yield block
@@ -236,7 +239,7 @@ def _parse_matrix_block(block: Sequence[str]) -> LoopedGraph:
     rows: list[list[int]] = []
     for i, line in enumerate(block):
         row = []
-        for j, token in enumerate(line.split()):
+        for j, token in enumerate(_TOKEN.findall(line)):
             if token not in ("0", "1"):
                 raise ValueError(f"invalid entry {token!r} at ({i},{j})")
             row.append(int(token))

@@ -12,7 +12,8 @@ with the p = q = 1 special case requiring only |lambda| >= 1/2. Both are
 sufficient conditions; when they fail the verdict still reports both energies
 and the gap instead of refusing. Verdicts are computed a stack of base graphs
 at a time by _union_verdicts; verify_theorem2 is its one-row call, and the
-thm1 family scan (search) calls it as _union_verdicts(stack, 1, 1).
+thm1 family scan (search) calls it as _union_verdicts(stack, 1, 1) and
+encodes the union stack it returns.
 """
 
 from __future__ import annotations
@@ -143,7 +144,7 @@ def verify_theorem2(g: Graph, p: int, q: int) -> TheoremVerdict:
     """
     check_copy_counts(p, q)
     check_matrix_order((p + q) * g.n)
-    return _union_verdicts(adjacency_matrix(g).data[np.newaxis], p, q)[0]
+    return _union_verdicts(adjacency_matrix(g).data[np.newaxis], p, q)[1][0]
 
 
 def _union_stack(a: np.ndarray, p: int, q: int) -> np.ndarray:
@@ -156,19 +157,19 @@ def _union_stack(a: np.ndarray, p: int, q: int) -> np.ndarray:
     return union
 
 
-def _union_verdicts(a: np.ndarray, p: int, q: int) -> list[TheoremVerdict]:
-    """The verify_theorem2 verdict of each base matrix of a (k, n, n) stack: the base
-    stack and the union stack are each solved in one call."""
+def _union_verdicts(a: np.ndarray, p: int, q: int) -> tuple[np.ndarray, list[TheoremVerdict]]:
+    """The union stack of a (k, n, n) base stack and the verify_theorem2 verdict of
+    each base matrix: the base stack and the union stack are each solved in one call."""
     n, m = a.shape[1], p + q
     shift = _shift(m * n, q * n)
+    union = _union_stack(a, p, q)
     verdicts = []
-    for values, looped in zip(eigenvalues_stack(a).tolist(),
-                              eigenvalues_stack(_union_stack(a, p, q)).tolist()):
+    for values, looped in zip(eigenvalues_stack(a).tolist(), eigenvalues_stack(union).tolist()):
         lhs, rhs = _energy_sum(looped, shift), m * _energy_sum(values, 0.0)
         witness, boundary = _condition_witness(values, max(p, q) / m)
         verdicts.append(TheoremVerdict(witness is None, lhs, rhs, abs(lhs - rhs), witness,
                                        boundary))
-    return verdicts
+    return union, verdicts
 
 
 def union_family_energy(base_spectrum: Spectrum | Sequence[float], p: int, q: int) -> float:

@@ -8,17 +8,19 @@ rejects orders above graphs.MAX_MATRIX_ORDER at the length bytes, before it
 reads any edge data.
 
 Input is decoded a stack at a time. read_entries validates a graph6+sidecar
-stream into Entry records (order, edge bytes, loops, line number), and
-adjacency_stack scatters the edge bits of entries of one order into a
-(k, n, n) stack, the inverse of to_graph6_stack. The object API is a view
-of these two: from_graph6 is their one-row call, and read_looped_graphs
-builds each entry's LoopedGraph from its one-row stack, so every check
-lives in read_entries and the helpers it calls.
+stream into Entry records (order, edge bytes, loops), and adjacency_stack
+scatters the edge bits of entries of one order into a (k, n, n) stack, the
+inverse of to_graph6_stack. The object API is a view of these two:
+from_graph6 is their one-row call, and read_looped_graphs builds each
+entry's LoopedGraph from its one-row stack, so every check lives in
+read_entries and the helpers it calls. Only ASCII whitespace is trimmed, so
+any other byte, such as 0xA0, is reported where it stands.
 """
 
 from __future__ import annotations
 
 import re
+import string
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -29,6 +31,7 @@ HEADER = ">>graph6<<"
 _MAX_ENCODABLE = 258047  # largest order for the 18-bit length form
 _ONE_BYTE_MAX = 62  # largest order written with one length byte
 _OUTSIDE = re.compile("[^?-~]")  # a char outside the graph6 alphabet, bytes 63-126
+_INDEX = re.compile("-?[0-9]+")  # a loop index; int() would also take "+1", "1_0", "\xa01"
 
 
 class Graph6ParseError(ValueError):
@@ -49,12 +52,11 @@ class LoopFileParseError(ValueError):
 
 class Entry(NamedTuple):
     """One validated graph6 line and its sidecar: the order, the graph6 edge
-    bytes, the loop indices and the 1-based number of the graph6 line."""
+    bytes and the loop indices."""
 
     n: int
     edges: str
     loops: frozenset
-    line: int
 
 
 def _outside(s: str, pos: int) -> Graph6ParseError:
@@ -150,7 +152,7 @@ def _graph(a: np.ndarray) -> Graph:
 def from_graph6(text: str) -> Graph:
     """Decode one graph6 string (optional header, trailing newline tolerated)."""
     n, edges = _decode(text.rstrip("\r\n"))
-    return _graph(adjacency_stack([Entry(n, edges, frozenset(), 1)])[0])
+    return _graph(adjacency_stack([Entry(n, edges, frozenset())])[0])
 
 
 def _encode(n: int, bits: np.ndarray) -> list[str]:
@@ -177,16 +179,15 @@ def to_graph6(g: Graph) -> str:
 
 
 def _parse_loop_indices(body: str, line_number: int) -> frozenset:
-    body = body.strip()
+    body = body.strip(string.whitespace)
     if not body:
         return frozenset()
     indices = set()
     for token in body.split(","):
-        token = token.strip()
-        try:
-            index = int(token)
-        except ValueError:
-            raise LoopFileParseError(line_number, f"bad loop index {token!r}") from None
+        token = token.strip(string.whitespace)
+        if not _INDEX.fullmatch(token):
+            raise LoopFileParseError(line_number, f"bad loop index {token!r}")
+        index = int(token)
         if index in indices:
             raise LoopFileParseError(line_number, f"duplicate loop index {index}")
         indices.add(index)
@@ -203,7 +204,7 @@ def read_entries(lines: Iterable[str]) -> Iterator[Entry]:
     pending: Entry | None = None
     pending_had_sidecar = False
     for line_number, raw in enumerate(lines, start=1):
-        stripped = raw.strip()
+        stripped = raw.strip(string.whitespace)
         if not stripped:
             continue
         if stripped.startswith("L:"):
@@ -227,7 +228,7 @@ def read_entries(lines: Iterable[str]) -> Iterator[Entry]:
             n, edges = _decode(stripped)
         except Graph6ParseError as e:
             raise LoopFileParseError(line_number, str(e)) from e
-        pending = Entry(n, edges, frozenset(), line_number)
+        pending = Entry(n, edges, frozenset())
         pending_had_sidecar = False
     if pending is not None:
         yield pending

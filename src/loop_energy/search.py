@@ -13,7 +13,8 @@ into its records. The scan kernel solves the adjacency stack and the stack of
 all its loop placements through spectra.eigenvalues_stack and sums energies
 as energy._report does, so each record holds the same floats as energy_simple
 and energy_looped. The thm1 family kernel is energy._union_verdicts(stack, 1, 1),
-the stack form of verify_theorem1, with each verdict turned into a record. The
+the stack form of verify_theorem1, with each verdict turned into a record and
+the union stack it solved encoded as the record's graph6. The
 Graph/LoopedGraph object path stays the reference layer.
 """
 
@@ -29,7 +30,7 @@ from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-from .energy import _energy_sum, _union_stack, _union_verdicts
+from .energy import _energy_sum, _union_verdicts
 from .graph6 import to_graph6_stack
 from .graphs import Graph
 from .spectra import eigenvalues_stack
@@ -176,9 +177,10 @@ def _family_kernel(a: np.ndarray, config: SearchConfig) -> list[SearchRecord]:
     """The verify_theorem1 verdict of each base graph G of a stack, as a record of G union G^l."""
     n = a.shape[1]
     loops = tuple(range(n, 2 * n))
+    union, verdicts = _union_verdicts(a, 1, 1)
     return [_record(g6, loops, 2 * n, v.rhs_energy, v.lhs_energy, config.eq_tol,
                     condition_met=v.condition_holds)
-            for g6, v in zip(to_graph6_stack(_union_stack(a, 1, 1)), _union_verdicts(a, 1, 1))]
+            for g6, v in zip(to_graph6_stack(union), verdicts)]
 
 
 def _stream(config: SearchConfig, workers: int, kernel: Kernel) -> Iterator[SearchRecord]:

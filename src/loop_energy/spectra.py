@@ -3,8 +3,8 @@
 Eigenvalues are solved a stack at a time: eigenvalues_stack takes a (k, n, n)
 stack, checks it once (finite and symmetric, as SymmetricMatrix does), and
 returns each matrix's eigenvalues in descending order. eigenvalues() of one
-SymmetricMatrix is a stack of one through the same private solve, so both
-return the same floats. The order rule is written there once: above
+SymmetricMatrix is a stack of one through the same private solve, _eigvalsh,
+so both return the same floats. _eigvalsh alone chooses the backend: above
 JACOBI_MAX_ORDER (5) the whole stack goes to one batched LAPACK call through
 numpy.linalg, and at or below it cyclic Jacobi rotations in pure Python solve
 the matrices one by one; they converge unconditionally for symmetric input,
@@ -14,7 +14,8 @@ is of such an order. The renderers print rounding noise around 0 as 0
 tests compare; on some other input a value away from 0 could still round to
 another tenth digit, so the default scan stays on Jacobi, and a
 --force-large scan above it may differ from Jacobi in a last printed digit.
-Either backend raises numpy.linalg.LinAlgError if it fails. Adjacency
+Either backend raises numpy.linalg.LinAlgError if it fails. _eigh, which the
+tests use for eigenvector residuals, is LAPACK at every order. Adjacency
 matrices are limited to order 4,096 (graphs.MAX_MATRIX_ORDER).
 
 Characteristic polynomials use Berkowitz's division-free recurrence, so for
@@ -97,10 +98,9 @@ class CharPoly:
             raise ValueError("characteristic polynomial must be monic")
 
 
-def _jacobi_sweeps(a, tol, v=None):
+def _jacobi_sweeps(a, tol):
     # Cyclic-by-row Jacobi, at most SWEEP_CAP sweeps. Mutates `a` toward
-    # diagonal form and, when `v` is given, collects the rotations into its
-    # columns so that original A = v @ diag(a) @ v.T.
+    # diagonal form, leaving its eigenvalues on the diagonal.
     n = a.shape[0]
     sweeps = 0
     while True:
@@ -140,19 +140,13 @@ def _jacobi_sweeps(a, tol, v=None):
                         a[p, k] = a[k, p]
                         a[k, q] = s * akp + c * akq
                         a[q, k] = a[k, q]
-                if v is not None:
-                    for k in range(n):
-                        vkp = v[k, p]
-                        vkq = v[k, q]
-                        v[k, p] = c * vkp - s * vkq
-                        v[k, q] = s * vkp + c * vkq
         sweeps += 1
 
 
-def _jacobi(a: np.ndarray, v=None) -> np.ndarray:
+def _jacobi(a: np.ndarray) -> np.ndarray:
     # diagonalise one (n, n) float64 matrix in place; its unsorted eigenvalues
     fro = math.sqrt(float((a * a).sum()))
-    off, sweeps, converged = _jacobi_sweeps(a, CONVERGENCE_RTOL * (1.0 + fro), v)
+    off, sweeps, converged = _jacobi_sweeps(a, CONVERGENCE_RTOL * (1.0 + fro))
     if not converged:
         raise np.linalg.LinAlgError(
             f"eigensolver did not converge after {sweeps} sweeps; "
@@ -172,19 +166,13 @@ def _eigvalsh(a: np.ndarray) -> np.ndarray:
 
 
 def _eigh(m: SymmetricMatrix):
-    """Eigenvalues (descending) and matching eigenvector columns.
+    """Eigenvalues (descending) and matching eigenvector columns, from LAPACK.
 
     Internal: the public result type carries no eigenvectors; tests use them
-    for residual checks. Above JACOBI_MAX_ORDER, LAPACK solves the matrix.
+    for residual checks.
     """
-    a = np.array(m.data, dtype=np.float64)
-    if a.shape[0] > JACOBI_MAX_ORDER:
-        w, v = np.linalg.eigh(a)
-        return w[::-1], v[:, ::-1]
-    v = np.eye(a.shape[0])
-    w = _jacobi(a, v)
-    order = np.argsort(-w, kind="stable")
-    return w[order], v[:, order]
+    w, v = np.linalg.eigh(m.data.astype(np.float64))
+    return w[::-1], v[:, ::-1]
 
 
 def eigenvalues(m: SymmetricMatrix) -> Spectrum:

@@ -19,6 +19,7 @@ from loop_energy import (
     char_poly,
     complete_graph,
     energy_looped,
+    eigenvalues,
     energy_simple,
     enumerate_graphs,
     find_theorem_family_instances,
@@ -32,7 +33,7 @@ from loop_energy import (
     with_loops,
 )
 from loop_energy.search import to_tsv
-from loop_energy.spectra import _eigh
+from loop_energy.spectra import JACOBI_MAX_ORDER, _eigh
 
 
 @contextmanager
@@ -109,6 +110,8 @@ def test_criterion_5_eigensolver_soundness():
             assert residuals.max() <= 1e-9 * (1 + fro)
             trace = float(a.trace())
             assert abs(w.sum() - trace) <= 1e-9 * (1 + abs(trace))
+            if n <= JACOBI_MAX_ORDER:  # _eigh is LAPACK: an independent check of Jacobi
+                assert np.abs(np.array(eigenvalues(m).values) - w).max() <= 1e-9 * (1 + fro)
 
         for n in range(1, 7):
             for g in enumerate_graphs(n):

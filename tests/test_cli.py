@@ -154,6 +154,34 @@ def test_errors_inside_a_command_print_one_line(tmp_path, capsys, monkeypatch, t
     assert err.startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "argv, data, message",
+    [
+        (["energy"], b"B\x85w\n", "line 1: parse error at byte 1: byte 133 outside graph6 alphabet"),
+        (["energy"], b"Bw\xa0\n", "line 1: parse error at byte 2: byte 160 outside graph6 alphabet"),
+        (["energy"], b"Bw\x1cBw\n", "line 1: parse error at byte 2: byte 28 outside graph6 alphabet"),
+        (["convert", "--to", "graph6"], b"0 1\n1\xa00\n", r"invalid entry '1\xa00' at (1,0)"),
+    ],
+    ids=["nel-is-no-line-end", "nbsp-is-no-blank", "fs-is-no-line-end", "nbsp-is-no-separator"],
+)
+def test_only_ascii_ends_lines_and_separates_tokens(monkeypatch, capsys, argv, data, message):
+    # lines end at LF, CR or CRLF and blanks are ASCII whitespace; any other
+    # byte is named by either reader, not taken as a line end or a blank
+    code, out, err = run_cli(argv, data, monkeypatch, capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("command", ["verify-thm1", "verify-thm2"])
+@pytest.mark.parametrize("text, found", [("", 0), (f"{TRIANGLE}\n{THREE_PATH}\n", 2)],
+                         ids=["empty", "two-graphs"])
+def test_verify_needs_exactly_one_graph(monkeypatch, capsys, command, text, found):
+    argv = [command] + (["-p", "2", "-q", "1"] if command == "verify-thm2" else [])
+    code, out, err = run_cli(argv, text, monkeypatch, capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: line 1: expected exactly one graph, found {found}\n"
+
+
 def test_spectrum_command(tmp_path, capsys):
     code, out, _ = run_cli(["spectrum", write(tmp_path, "g", TRIANGLE + "\n")], capsys=capsys)
     assert code == 0

@@ -146,8 +146,13 @@ def test_sidecar_index_out_of_range():
 
 
 def test_sidecar_bad_token():
-    with pytest.raises(LoopFileParseError, match="bad loop index"):
-        list(read_looped_graphs(["Bw", "L: 1,x"]))
+    # an index is an optional '-' and ASCII digits, not whatever int() accepts
+    for token in ["x", "+1", "1_0", "\xa01"]:
+        with pytest.raises(LoopFileParseError) as e:
+            list(read_looped_graphs(["Bw", f"L: 1,{token}"]))
+        assert str(e.value) == f"line 2: bad loop index {token!r}"
+    with pytest.raises(LoopFileParseError, match="loop index -1 out of range"):
+        list(read_looped_graphs(["Bw", "L: -1"]))
 
 
 def test_sidecar_repeated_index():

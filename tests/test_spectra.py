@@ -95,9 +95,10 @@ def test_eigh_residuals_on_random_matrices():
 
 
 def test_solver_failure_carries_off_diagonal_norm(monkeypatch):
+    # order 3 is solved by Jacobi, which stops at the sweep cap
     monkeypatch.setattr(spectra, "SWEEP_CAP", 0)
     with pytest.raises(np.linalg.LinAlgError, match="off-diagonal norm reached 2.449"):
-        _eigh(adjacency_matrix(complete_graph(3)))
+        eigenvalues(adjacency_matrix(complete_graph(3)))
 
 
 def test_jacobi_rotation_overflow_is_silent(monkeypatch):
@@ -130,14 +131,15 @@ def _jacobi_values(a):
     return np.sort(np.diag(a))[::-1]
 
 
-@pytest.mark.parametrize("n", range(6, 13))
+@pytest.mark.parametrize("n", range(1, 13))
 def test_lapack_orders_agree_with_jacobi(n):
+    # _eigh is LAPACK at every order, so Jacobi's own orders are checked too
     rng = np.random.default_rng(n)
     for _ in range(5):
         a = np.triu(rng.integers(0, 2, size=(n, n)))
         a = a + np.triu(a, 1).T  # 0/1 symmetric, loops on the diagonal
         m = SymmetricMatrix(a)
-        got = np.array(eigenvalues(m).values)
+        got = _eigh(m)[0]
         assert np.abs(got - _jacobi_values(a)).max() <= 1e-12 * (1 + np.linalg.norm(m.data))
 
 
