@@ -12,13 +12,20 @@ ends the output quietly, with nothing on stderr.
 The verify commands add:
 1 = condition held but the identity gap exceeded tolerance (a pipeline bug),
 3 = condition failed (informational; both energies are still printed).
+
+OpenBLAS runs one thread unless OPENBLAS_NUM_THREADS is exported: no solve
+here is large enough to split, and an idle BLAS worker costs every process CPU.
 """
 
 from __future__ import annotations
 
+import os
+
+# before numpy loads, which reads it once; pool workers inherit it
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import argparse
 import math
-import os
 import re
 import sys
 from dataclasses import replace

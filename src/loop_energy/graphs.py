@@ -8,6 +8,7 @@ All values are immutable after construction and every operation is pure.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Sequence
@@ -28,16 +29,18 @@ class Graph:
     edges: frozenset = frozenset()
 
     def __post_init__(self):
-        if self.n < 0:
-            raise ValueError(f"vertex count must be nonnegative, got {self.n}")
+        n = _integer(self.n, "vertex count")
+        if n < 0:
+            raise ValueError(f"vertex count must be nonnegative, got {n}")
         normalized = set()
         for e in self.edges:
-            u, v = e
+            u, v = (_integer(x, "vertex label") for x in e)
             if u == v:
                 raise ValueError(f"self-pair ({u},{v}) is not a valid edge")
-            if not (0 <= u < self.n and 0 <= v < self.n):
-                raise ValueError(f"edge ({u},{v}) out of range for n={self.n}")
+            if not (0 <= u < n and 0 <= v < n):
+                raise ValueError(f"edge ({u},{v}) out of range for n={n}")
             normalized.add((u, v) if u < v else (v, u))
+        object.__setattr__(self, "n", n)
         object.__setattr__(self, "edges", frozenset(normalized))
 
 
@@ -49,9 +52,7 @@ class LoopedGraph:
     loops: frozenset = frozenset()
 
     def __post_init__(self):
-        loops = frozenset(self.loops)
-        check_loop_indices(self.base.n, loops)
-        object.__setattr__(self, "loops", loops)
+        object.__setattr__(self, "loops", check_loop_indices(self.base.n, self.loops))
 
     @property
     def n(self) -> int:
@@ -107,11 +108,24 @@ def adjacency_matrix(g: Graph | LoopedGraph) -> SymmetricMatrix:
     return SymmetricMatrix(a)
 
 
-def check_loop_indices(n: int, loops: Iterable[int]) -> None:
-    """Raise ValueError at the first loop index outside range(n)."""
-    for i in loops:
+def check_loop_indices(n: int, loops: Iterable[int]) -> frozenset[int]:
+    """The loop indices as plain ints; ValueError at the first one that is not
+    an integer or lies outside range(n)."""
+    indices = set()
+    for x in loops:
+        i = _integer(x, "loop index")
         if not (0 <= i < n):
             raise ValueError(f"loop index {i} out of range for n={n}")
+        indices.add(i)
+    return frozenset(indices)
+
+
+def _integer(x, what: str) -> int:
+    # operator.index takes ints and numpy integers (bool as 0/1), not floats or strings
+    try:
+        return operator.index(x)
+    except TypeError:
+        raise ValueError(f"{what} {x!r} is not an integer") from None
 
 
 def check_matrix_order(n: int) -> None:

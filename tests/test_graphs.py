@@ -11,6 +11,7 @@ from loop_energy import (
     union_looped,
     with_all_loops,
     with_loops,
+    write_looped_graphs,
 )
 
 
@@ -185,6 +186,29 @@ def test_graph_rejects_negative_order():
 
 def test_graph_normalizes_edge_orientation():
     assert Graph(3, frozenset({(2, 0)})) == Graph(3, frozenset({(0, 2)}))
+
+
+@pytest.mark.parametrize("build,message", [
+    (lambda: Graph(3, frozenset({(0, 1.5)})), "vertex label 1.5 is not an integer"),
+    (lambda: Graph(3, frozenset({("0", 1)})), "vertex label '0' is not an integer"),
+    (lambda: Graph(3.0), "vertex count 3.0 is not an integer"),
+    (lambda: with_loops(complete_graph(3), [2.0]), "loop index 2.0 is not an integer"),
+    (lambda: with_loops(complete_graph(3), ["1"]), "loop index '1' is not an integer"),
+], ids=["float-label", "str-label", "float-order", "float-loop", "str-loop"])
+def test_non_integer_labels_are_rejected(build, message):
+    # a float label used to construct, then be written as 'L: 2.0' (which the
+    # reader rejects) and fail in numpy's indexing with an IndexError
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
+def test_integer_like_labels_become_plain_ints():
+    g = Graph(np.int64(3), frozenset({(np.int64(2), True)}))
+    assert g == Graph(3, frozenset({(1, 2)}))
+    assert all(type(x) is int for x in (g.n, *next(iter(g.edges))))
+    lg = with_loops(complete_graph(3), [np.int64(2), True])
+    assert lg.loops == {1, 2} and all(type(i) is int for i in lg.loops)
+    assert list(write_looped_graphs([lg])) == ["Bw", "L: 1,2"]
 
 
 def test_relabel_roundtrip():
