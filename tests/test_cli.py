@@ -1,9 +1,11 @@
 import hashlib
 import io
 import json
+import multiprocessing
 import shutil
 import subprocess
 import sys
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -12,7 +14,6 @@ from loop_energy import (
     Graph,
     enumerate_graphs,
     graphs,
-    search,
     spectra,
     to_graph6,
     with_loops,
@@ -351,13 +352,13 @@ def test_search_connected_all_sigma_matches_golden_digest(monkeypatch, capsys):
 def test_search_starts_one_pool_per_scan(monkeypatch, capsys):
     # orders 3, 4 and 5 all go through the pool at 2 workers; it is started once
     started = []
-    pool = search.Pool
+    pool = multiprocessing.Pool
 
     def counting_pool(processes):
         started.append(processes)
         return pool(processes)
 
-    monkeypatch.setattr(search, "Pool", counting_pool)
+    monkeypatch.setattr(multiprocessing, "Pool", counting_pool)
     monkeypatch.setenv("LOOP_ENERGY_THREADS", "2")
     code, out, err = run_cli(["search", "--n-max", "5"], capsys=capsys)
     assert code == 0
@@ -380,6 +381,15 @@ def _seeded_looped_graphs(tmp_path):
 
 
 FAMILY = ["search", "--family", "thm1", "--n-min", "2"]
+LAPACK = spectra._eigvalsh
+
+
+def _solve_with_jacobi_to(monkeypatch, order):
+    # every eigensolve, in the labeled scan and out of it, runs Jacobi up to
+    # this order and LAPACK above it
+    monkeypatch.setattr(spectra, "JACOBI_MAX_ORDER", order)
+    monkeypatch.setattr(spectra, "_eigvalsh", lambda a: (
+        spectra._jacobi_eigvalsh(a) if a.shape[1] <= order else LAPACK(a)))
 
 
 @pytest.mark.parametrize(
@@ -398,14 +408,14 @@ FAMILY = ["search", "--family", "thm1", "--n-min", "2"]
          "family-10-jsonl", "energy", "spectrum"],
 )
 def test_stdout_is_the_same_on_either_backend(monkeypatch, capsys, tmp_path, argv):
-    # at JACOBI_MAX_ORDER 8 Jacobi solves every order up to 8; at 0 LAPACK
-    # solves them all. Rounding noise prints as 0, so both print the same bytes
+    # Jacobi solves every order up to 8, then LAPACK solves them all.
+    # Rounding noise prints as 0, so both print the same bytes
     if argv[-1] is None:
         argv = [argv[0], _seeded_looped_graphs(tmp_path)]
     monkeypatch.setenv("LOOP_ENERGY_THREADS", "1")
     outputs = []
     for order in (8, 0):
-        monkeypatch.setattr(spectra, "JACOBI_MAX_ORDER", order)
+        _solve_with_jacobi_to(monkeypatch, order)
         code, out, _ = run_cli(argv, capsys=capsys)
         assert code == 0
         outputs.append(out)
@@ -417,7 +427,7 @@ def test_verify_prints_the_same_bytes_on_either_backend(monkeypatch, capsys):
              for p, q in [(1, 1), (2, 1), (1, 3), (3, 1), (2, 2), (0, 1)]]
     outputs = []
     for order in (8, 0):
-        monkeypatch.setattr(spectra, "JACOBI_MAX_ORDER", order)
+        _solve_with_jacobi_to(monkeypatch, order)
         outputs.append([
             run_cli(["verify-thm2", "-p", str(p), "-q", str(q)], g6 + "\n", monkeypatch, capsys)
             for g6, p, q in cases
@@ -430,11 +440,58 @@ def test_verify_prints_the_same_bytes_on_either_backend(monkeypatch, capsys):
 def test_condition_witness_is_the_same_on_either_backend(monkeypatch, capsys, order, p, q):
     # the path P4 has eigenvalues +-0.618 below max(p, q)/(p + q); the first in
     # descending order is the witness, whatever last bits the backend gives -0.618
-    monkeypatch.setattr(spectra, "JACOBI_MAX_ORDER", order)
+    _solve_with_jacobi_to(monkeypatch, order)
     code, out, _ = run_cli(["verify-thm2", "-p", str(p), "-q", str(q)], "Ck\n",
                            monkeypatch, capsys)
     assert code == 3
     assert "witness 0.6180339887\n" in out
+
+
+def test_only_the_labeled_scan_enters_jacobi(monkeypatch, capsys, tmp_path):
+    # sha256 prefixes of stdout recorded while Jacobi still solved orders up to 5
+    # everywhere; with Jacobi refused, LAPACK prints the same bytes
+    def refuse(a):
+        raise AssertionError("Jacobi entered outside the labeled scan")
+
+    monkeypatch.setattr(spectra, "_jacobi_eigvalsh", refuse)
+    monkeypatch.setenv("LOOP_ENERGY_THREADS", "1")
+    graphs_file = _seeded_looped_graphs(tmp_path)
+    triangle = write(tmp_path, "t", TRIANGLE + "\n")
+    for argv, digest in [
+        (["energy", graphs_file], "f67327babba058f8"),
+        (["spectrum", graphs_file], "af185e326839450a"),
+        (["convert", "--to", "matrix", graphs_file], "3ec8b6f6f73ff5a0"),
+        (["verify-thm1", triangle], "80a5dd0874f1b770"),
+        (["verify-thm2", "-p", "2", "-q", "1", triangle], "17aa50fe1cc2ab28"),
+        (["search", "--family", "thm1", "--n-max", "10"], "4d3011c92306a5a1"),
+    ]:
+        code, out, _ = run_cli(argv, capsys=capsys)
+        assert code == 0, argv
+        assert hashlib.sha256(out.encode("ascii")).hexdigest().startswith(digest), argv
+
+
+def test_labeled_scan_sends_every_order_up_to_five_to_jacobi(monkeypatch, capsys):
+    # LAPACK is refused; the Jacobi entry records each matrix's order and hands
+    # the stack to LAPACK, so that this checks the route in a second, not the
+    # sweeps, which test_stdout_is_the_same_on_either_backend runs on this scan
+    orders = []
+
+    def refuse(a):
+        raise AssertionError("the labeled scan called LAPACK at order <= 5")
+
+    def record(a):
+        orders.extend([a.shape[1]] * len(a))
+        return LAPACK(a)
+
+    monkeypatch.setattr(spectra, "_eigvalsh", refuse)
+    monkeypatch.setattr(spectra, "_jacobi_eigvalsh", record)
+    monkeypatch.setenv("LOOP_ENERGY_THREADS", "1")
+    code, out, err = run_cli(["search", "--n-max", "5"], capsys=capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode("ascii")).hexdigest().startswith("f55f583cb87ff0d0")
+    assert err.startswith("records=31668 ")
+    # each graph once without loops and once per interior loop set; order 1 has none
+    assert Counter(orders) == {n: 2 ** (n * (n - 1) // 2) * (2 ** n - 1) for n in range(2, 6)}
 
 
 def test_search_jsonl_output(capsys):

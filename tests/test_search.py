@@ -6,6 +6,7 @@ import os
 import time
 from itertools import combinations, islice
 from types import SimpleNamespace
+from unittest import mock
 
 import networkx as nx
 import numpy as np
@@ -19,6 +20,7 @@ from helpers import disjoint_union, relabel
 from loop_energy import (
     SearchConfig,
     SearchRecord,
+    Spectrum,
     adjacency_matrix,
     complete_graph,
     energy_looped,
@@ -33,7 +35,7 @@ from loop_energy import (
     with_all_loops,
     with_loops,
 )
-from loop_energy import energy, search
+from loop_energy import energy, search, spectra
 from loop_energy.search import (
     EQUAL,
     LOOPED_GREATER,
@@ -199,7 +201,7 @@ def test_worker_count_is_capped_at_the_cpu_count(monkeypatch, workers):
             pass
 
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
-    monkeypatch.setattr(search, "Pool", RecordingPool)
+    monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
     config = SearchConfig(n_max=4)
     assert list(scan(config, workers=workers)) == list(scan(config))
     assert sizes == [3]
@@ -345,17 +347,24 @@ def test_family_scan_solves_twice_per_record(monkeypatch):
 @given(st.integers(1, 6).flatmap(lambda n: st.lists(graphs(n, n), min_size=1, max_size=3)),
        st.sampled_from(["interior", "all"]))
 def test_scan_kernel_records_match_the_object_path(chunk, sigma_policy):
+    # the object path solves with the scan's solver here, so that equal floats
+    # pin the kernel's loop diagonals, shifts and summation order at every order
+    def scan_eigenvalues(m):
+        values = spectra._scan_eigvalsh(m.data[np.newaxis].astype(float))[0]
+        return Spectrum(tuple(values.tolist()))
+
     stack = np.array([adjacency_matrix(g).data for g in chunk], dtype=float)
     config = SearchConfig(sigma_policy=sigma_policy)
     expected = []
-    for g in chunk:
-        e_simple = energy_simple(g).energy
-        for mask in range(1 << g.n):
-            loops = tuple(i for i in range(g.n) if (mask >> i) & 1)
-            if sigma_policy == "all" or 0 < len(loops) < g.n:
-                e_looped = energy_looped(with_loops(g, loops)).energy
-                expected.append(search._record(to_graph6(g), loops, g.n, e_simple, e_looped,
-                                               config.eq_tol))
+    with mock.patch.object(energy, "eigenvalues", scan_eigenvalues):
+        for g in chunk:
+            e_simple = energy_simple(g).energy
+            for mask in range(1 << g.n):
+                loops = tuple(i for i in range(g.n) if (mask >> i) & 1)
+                if sigma_policy == "all" or 0 < len(loops) < g.n:
+                    e_looped = energy_looped(with_loops(g, loops)).energy
+                    expected.append(search._record(to_graph6(g), loops, g.n, e_simple,
+                                                   e_looped, config.eq_tol))
     assert search._scan_kernel(stack, config) == expected
 
 

@@ -18,13 +18,13 @@ from loop_energy import (
     char_poly,
     complete_graph,
     eigenvalues,
-    energy_looped,
     from_graph6,
     union_looped,
     with_all_loops,
     with_loops,
 )
-from loop_energy.spectra import CONVERGENCE_RTOL, _eigh, _jacobi_sweeps, eigenvalues_stack
+from loop_energy.spectra import (CONVERGENCE_RTOL, _eigh, _jacobi_eigvalsh, _jacobi_sweeps,
+                                  _scan_eigvalsh, eigenvalues_stack)
 
 
 def test_symmetric_matrix_rejects_non_square():
@@ -95,27 +95,26 @@ def test_eigh_residuals_on_random_matrices():
 
 
 def test_solver_failure_carries_off_diagonal_norm(monkeypatch):
-    # order 3 is solved by Jacobi, which stops at the sweep cap
+    # the scan's solver gives order 3 to Jacobi, which stops at the sweep cap
     monkeypatch.setattr(spectra, "SWEEP_CAP", 0)
     with pytest.raises(np.linalg.LinAlgError, match="off-diagonal norm reached 2.449"):
-        eigenvalues(adjacency_matrix(complete_graph(3)))
+        _scan_eigvalsh(adjacency_matrix(complete_graph(3)).data[np.newaxis].astype(float))
 
 
-def test_jacobi_rotation_overflow_is_silent(monkeypatch):
+def test_jacobi_rotation_overflow_is_silent():
     # in each of these a sweep drives theta * theta past the float range;
     # that means t = 0 (no rotation) and must not warn. They are of order 6,
-    # so Jacobi is made to solve them
-    monkeypatch.setattr(spectra, "JACOBI_MAX_ORDER", 8)
+    # above the scan's Jacobi orders, so the Jacobi entry is called directly
     for lg in [
         with_loops(from_graph6("EZxG"), ()),
         with_all_loops(from_graph6("EmE?")),
         with_all_loops(from_graph6("EuD?")),
     ]:
+        a = adjacency_matrix(lg).data.astype(float)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            report = energy_looped(lg)
-        expected = np.abs(np.linalg.eigvalsh(adjacency_matrix(lg).data) - report.shift).sum()
-        assert abs(report.energy - expected) <= 1e-9
+            w = _jacobi_eigvalsh(a[np.newaxis])[0]
+        assert np.abs(w - np.linalg.eigvalsh(a)[::-1]).max() <= 1e-9
 
 
 def test_scan_orders_stay_on_jacobi():
@@ -155,16 +154,25 @@ def test_stack_solve_returns_the_floats_of_eigenvalues(n):
     assert w.shape == (7, n)
     for a, row in zip(stack, w):
         assert row.tolist() == list(eigenvalues(SymmetricMatrix(a)).values)
-        # each backend on its own: one 2-D LAPACK call, or the bare Jacobi sweeps
+        # one 2-D LAPACK call
+        assert row.tolist() == np.linalg.eigvalsh(a.astype(np.float64))[::-1].tolist()
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_scan_solve_is_the_bare_jacobi_sweeps_or_lapack(n):
+    stack = _looped_01_stack(np.random.default_rng(100 + n), 7, n).astype(np.float64)
+    before = stack.copy()
+    w = _scan_eigvalsh(stack)
+    assert np.array_equal(stack, before)  # the sweeps run on copies
+    for a, row, lapack in zip(stack, w, eigenvalues_stack(stack)):
         if n > spectra.JACOBI_MAX_ORDER:
-            single = np.linalg.eigvalsh(a.astype(np.float64))[::-1]
-        else:
-            m = a.astype(np.float64)
-            fro = math.sqrt(float((m * m).sum()))
-            _, _, converged = _jacobi_sweeps(m, CONVERGENCE_RTOL * (1.0 + fro))
-            assert converged
-            single = np.diag(m)[np.argsort(-np.diag(m), kind="stable")]
-        assert row.tolist() == single.tolist()
+            assert row.tolist() == lapack.tolist()
+            continue
+        m = a.copy()
+        fro = math.sqrt(float((m * m).sum()))
+        _, _, converged = _jacobi_sweeps(m, CONVERGENCE_RTOL * (1.0 + fro))
+        assert converged
+        assert row.tolist() == np.diag(m)[np.argsort(-np.diag(m), kind="stable")].tolist()
 
 
 def test_stack_solve_of_empty_stacks():

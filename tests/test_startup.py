@@ -45,6 +45,21 @@ def test_cli_process_starts_no_blas_worker():
     assert fresh(code) == "1"
 
 
+def test_commands_without_a_pool_import_no_multiprocessing(tmp_path):
+    # only a scan that starts a pool imports it: not energy, not a 1-worker family scan
+    empty = tmp_path / "empty"
+    empty.write_text("")
+    code = f"""
+import contextlib, io, sys
+from loop_energy import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(["energy", {str(empty)!r}]) == 0
+    assert cli.main(["search", "--family", "thm1", "--n-max", "6"]) == 0
+print("multiprocessing" in sys.modules)
+"""
+    assert fresh(code, LOOP_ENERGY_THREADS="1") == "False"
+
+
 def test_lazy_names_are_the_submodules_objects():
     code = """
 import importlib, loop_energy
