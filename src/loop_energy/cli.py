@@ -35,9 +35,8 @@ import numpy as np
 
 from . import search as search_mod
 from .energy import TheoremVerdict, _energy_sum, _shift, check_copy_counts, verify_theorem2
-from .graph6 import (Entry, LoopFileParseError, adjacency_stack, read_entries,
-                     read_looped_graphs, write_looped_graphs)
-from .graphs import Graph, LoopedGraph, with_loops
+from .graph6 import Entry, LoopFileParseError, adjacency_stack, read_entries, write_looped_graphs
+from .graphs import Graph, LoopedGraph, _from_matrix, with_loops
 from .search import SearchConfig, fmt10, snap, to_jsonl, to_tsv
 from .spectra import eigenvalues_stack
 
@@ -66,12 +65,12 @@ def _read_entries(path: str) -> list[Entry]:
 
 
 def _single_simple_graph(path: str) -> Graph:
-    entries = list(read_looped_graphs(_read_lines(path)))
+    entries = _read_entries(path)
     if len(entries) != 1:
         raise LoopFileParseError(1, f"expected exactly one graph, found {len(entries)}")
     if entries[0].loops:
         raise LoopFileParseError(1, "loop sidecar not allowed here; give the base graph only")
-    return entries[0].base
+    return _from_matrix(adjacency_stack(entries)[0])
 
 
 def _blocks(entries: Sequence[Entry]) -> Iterator[list[Entry]]:
@@ -255,13 +254,12 @@ def _parse_matrix_block(block: Sequence[str]) -> LoopedGraph:
     for i, row in enumerate(rows):
         if len(row) != n:
             raise ValueError(f"non-square matrix: row {i} has {len(row)} entries, expected {n}")
-    for i in range(n):
-        for j in range(i + 1, n):
-            if rows[i][j] != rows[j][i]:
-                raise ValueError(f"asymmetric at ({i},{j})")
-    edges = frozenset((i, j) for i in range(n) for j in range(i + 1, n) if rows[i][j])
-    loops = frozenset(i for i in range(n) if rows[i][i])
-    return with_loops(Graph(n, edges), loops)
+    a = np.array(rows)
+    asymmetric = np.argwhere(a != a.T)  # row-major, so the first cell has i < j
+    if len(asymmetric):
+        i, j = asymmetric[0]
+        raise ValueError(f"asymmetric at ({i},{j})")
+    return with_loops(_from_matrix(a), np.flatnonzero(a.diagonal()).tolist())
 
 
 def _cmd_convert(args) -> int:

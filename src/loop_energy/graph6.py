@@ -25,7 +25,8 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .graphs import Graph, LoopedGraph, check_loop_indices, check_matrix_order, with_loops
+from .graphs import (Graph, LoopedGraph, _from_matrix, check_loop_indices, check_matrix_order,
+                     with_loops)
 
 HEADER = ">>graph6<<"
 _MAX_ENCODABLE = 258047  # largest order for the 18-bit length form
@@ -143,16 +144,10 @@ def adjacency_stack(entries: Sequence[Entry]) -> np.ndarray:
     return a
 
 
-def _graph(a: np.ndarray) -> Graph:
-    # the simple graph of one adjacency matrix; the diagonal is ignored
-    i, j = np.nonzero(np.triu(a, 1))
-    return Graph(len(a), frozenset(zip(i.tolist(), j.tolist())))
-
-
 def from_graph6(text: str) -> Graph:
     """Decode one graph6 string (optional header, trailing newline tolerated)."""
     n, edges = _decode(text.rstrip("\r\n"))
-    return _graph(adjacency_stack([Entry(n, edges, frozenset())])[0])
+    return _from_matrix(adjacency_stack([Entry(n, edges, frozenset())])[0])
 
 
 def _encode(n: int, bits: np.ndarray) -> list[str]:
@@ -237,7 +232,7 @@ def read_entries(lines: Iterable[str]) -> Iterator[Entry]:
 def read_looped_graphs(lines: Iterable[str]) -> Iterator[LoopedGraph]:
     """Parse a graph6+sidecar stream into looped graphs, in file order."""
     for entry in read_entries(lines):
-        yield with_loops(_graph(adjacency_stack([entry])[0]), entry.loops)
+        yield with_loops(_from_matrix(adjacency_stack([entry])[0]), entry.loops)
 
 
 def write_looped_graphs(graphs: Iterable[LoopedGraph]) -> Iterator[str]:

@@ -44,6 +44,13 @@ class Graph:
         object.__setattr__(self, "edges", frozenset(normalized))
 
 
+def _from_matrix(a: np.ndarray) -> Graph:
+    """The simple graph of one 0/1 adjacency matrix: edges from the upper
+    triangle; the diagonal, where loops sit, is ignored."""
+    i, j = np.nonzero(a)
+    return Graph(len(a), frozenset((u, v) for u, v in zip(i.tolist(), j.tolist()) if u < v))
+
+
 @dataclass(frozen=True)
 class LoopedGraph:
     """A simple graph plus the set of vertices carrying a self-loop."""

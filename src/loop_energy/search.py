@@ -34,7 +34,7 @@ import numpy as np
 
 from .energy import _energy_sum, _union_verdicts
 from .graph6 import to_graph6_stack
-from .graphs import Graph
+from .graphs import Graph, _from_matrix
 from .spectra import _scan_eigvalsh
 
 EQUAL = "EQUAL"
@@ -129,11 +129,8 @@ def enumerate_graphs(n: int, connected_only: bool = False) -> Iterator[Graph]:
     With connected_only, disconnected graphs are skipped. This is a view of the
     stacks that every scan draws, so it shares their order and their filter.
     """
-    i, j = np.triu_indices(n, 1)
-    pairs = list(zip(i.tolist(), j.tolist()))
     for a in _graph_stacks(n, connected_only):
-        for row in a[:, i, j].tolist():
-            yield Graph(n, frozenset(pair for pair, bit in zip(pairs, row) if bit))
+        yield from map(_from_matrix, a)
 
 
 def _classify(e_simple: float, e_looped: float, eq_tol: float) -> tuple[str, bool, float]:

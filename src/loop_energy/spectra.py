@@ -5,8 +5,7 @@ stack, checks it once (finite and symmetric, as SymmetricMatrix does), and
 returns each matrix's eigenvalues in descending order. eigenvalues() of one
 SymmetricMatrix is a stack of one through the same private solve, _eigvalsh,
 so both return the same floats. _eigvalsh is one batched LAPACK call through
-numpy.linalg at every order, and so is _eigh, which the tests use for
-eigenvector residuals.
+numpy.linalg at every order.
 
 Only the labeled scan (search._scan_kernel) still solves small orders with
 cyclic Jacobi rotations in pure Python, through _scan_eigvalsh, the one code
@@ -177,16 +176,6 @@ def _scan_eigvalsh(a: np.ndarray) -> np.ndarray:
     if a.shape[1] > JACOBI_MAX_ORDER:
         return _eigvalsh(a)
     return _jacobi_eigvalsh(a)
-
-
-def _eigh(m: SymmetricMatrix):
-    """Eigenvalues (descending) and matching eigenvector columns, from LAPACK.
-
-    Internal: the public result type carries no eigenvectors; tests use them
-    for residual checks.
-    """
-    w, v = np.linalg.eigh(m.data.astype(np.float64))
-    return w[::-1], v[:, ::-1]
 
 
 def eigenvalues(m: SymmetricMatrix) -> Spectrum:

@@ -129,6 +129,7 @@ def test_order_above_limit_is_rejected_at_its_length_bytes(tmp_path, capsys):
     [
         (None, ["search", "--n-max", "6"]),
         (None, ["search", "--family", "thm1", "--sigma", "all"]),
+        (None, ["search", "--family", "thm1", "--n-min", "3", "--n-max", "3", "--sigma", "all"]),
         (None, ["search", "--n-min", "0"]),
         (None, ["search", "--eq-tol", "inf"]),
         (None, ["search", "--family", "thm1", "--n-min", "3", "--n-max", "3", "--eq-tol", "nan"]),
@@ -136,8 +137,9 @@ def test_order_above_limit_is_rejected_at_its_length_bytes(tmp_path, capsys):
         ("lots", ["search", "--n-max", "2"]),
         (None, ["verify-thm2", "-p", "0", "-q", "0", "TRIANGLE_FILE"]),
     ],
-    ids=["large-scan", "family-sigma-all", "n-min-0", "eq-tol-inf", "empty-family-eq-tol-nan",
-         "empty-family-eq-tol-negative", "threads-lots", "verify-no-copies"],
+    ids=["large-scan", "family-sigma-all", "empty-family-sigma-all", "n-min-0", "eq-tol-inf",
+         "empty-family-eq-tol-nan", "empty-family-eq-tol-negative", "threads-lots",
+         "verify-no-copies"],
 )
 def test_errors_inside_a_command_print_one_line(tmp_path, capsys, monkeypatch, threads, argv):
     # argparse reports malformed command lines; anything after parsing is a
@@ -545,6 +547,24 @@ def test_convert_roundtrips_both_ways(tmp_path, capsys):
     assert out.strip().splitlines() == [TRIANGLE, "L: 0,2", THREE_PATH]
 
 
+def test_convert_roundtrips_the_long_length_form(tmp_path, capsys):
+    # orders 63-70 take the 18-bit length form; loops on about half the vertices
+    rng = np.random.default_rng(11)
+    entries = []
+    for n in [*range(1, 8), *range(60, 71)]:
+        upper = np.triu(rng.random((n, n)) < 0.3, 1)
+        g = Graph(n, frozenset(zip(*(ix.tolist() for ix in np.nonzero(upper)))))
+        entries.append(with_loops(g, np.flatnonzero(rng.random(n) < 0.5).tolist()))
+    g6_text = "".join(line + "\n" for line in write_looped_graphs(entries))
+    assert sum(line.startswith("~") for line in g6_text.splitlines()) == 8
+    _, matrix_text, _ = run_cli(["convert", "--to", "matrix", write(tmp_path, "g", g6_text)],
+                                capsys=capsys)
+    code, out, _ = run_cli(["convert", "--to", "graph6", write(tmp_path, "m", matrix_text)],
+                           capsys=capsys)
+    assert code == 0
+    assert out == g6_text
+
+
 def test_convert_rejects_asymmetric_matrix(tmp_path, capsys):
     path = write(tmp_path, "m", "0 1\n0 0\n")
     code, _, err = run_cli(["convert", "--to", "graph6", path], capsys=capsys)
@@ -553,10 +573,13 @@ def test_convert_rejects_asymmetric_matrix(tmp_path, capsys):
 
 
 def test_convert_names_first_asymmetric_cell(tmp_path, capsys):
-    path = write(tmp_path, "m", "0 1 1\n1 0 1\n1 0 0\n")
-    code, _, err = run_cli(["convert", "--to", "graph6", path], capsys=capsys)
-    assert code == 2
-    assert "asymmetric at (1,2)" in err
+    # the first (i, j) with i < j in row order, whichever side holds the 1
+    for text, cell in [("0 1 1\n1 0 1\n1 0 0\n", "(1,2)"),
+                       ("0 0 0 0\n0 0 0 0\n0 1 0 0\n1 0 0 0\n", "(0,3)")]:
+        code, _, err = run_cli(["convert", "--to", "graph6", write(tmp_path, "m", text)],
+                               capsys=capsys)
+        assert code == 2
+        assert f"asymmetric at {cell}" in err
 
 
 def test_convert_rejects_non_square(tmp_path, capsys):

@@ -4,7 +4,7 @@ import math
 import multiprocessing
 import os
 import time
-from itertools import combinations, islice
+from itertools import combinations, islice, permutations
 from types import SimpleNamespace
 from unittest import mock
 
@@ -18,6 +18,7 @@ from conftest import graphs
 from exact_oracle import truly_equal
 from helpers import disjoint_union, relabel
 from loop_energy import (
+    Graph,
     SearchConfig,
     SearchRecord,
     Spectrum,
@@ -213,7 +214,8 @@ def test_scan_builds_no_graph_objects(monkeypatch, workers):
     def refuse(*args, **kwargs):
         raise AssertionError("Graph built on the scan path")
 
-    monkeypatch.setattr(search, "Graph", refuse)
+    # on the class, so a Graph built through any module is refused
+    monkeypatch.setattr(Graph, "__post_init__", refuse)
     config = SearchConfig(n_max=4)
     graphs_of = {n: 2 ** (n * (n - 1) // 2) for n in range(1, 5)}
     assert len(list(scan(config, workers=workers))) == sum(
@@ -375,6 +377,55 @@ def test_classification_is_relabeling_invariant():
     g = complete_graph(2)
     permuted = relabel(g, [1, 0])
     assert abs(gap(permuted, {1}) - gap(g, {0})) <= 1e-9
+
+
+# identities between the scan's own records: no second solver is consulted
+def _same_energies(r: SearchRecord, s: SearchRecord) -> bool:
+    return all(abs(x - y) <= 1e-12 * (1 + x)
+               for x, y in [(r.e_simple, s.e_simple), (r.e_looped, s.e_looped)])
+
+
+def _complement_pairs(records):
+    """Each record with the record of its graph under the complementary loop
+    set, once per unordered pair."""
+    records = list(records)
+    by_key = {(r.graph6, r.loops): r for r in records}
+    for r in records:
+        rest = tuple(i for i in range(r.n) if i not in r.loops)
+        if r.loops < rest:
+            yield r, by_key[r.graph6, rest]
+
+
+def test_bipartite_graphs_keep_their_energy_under_the_complementary_loop_set():
+    # a 2-colouring's signs D give D A D = -A, so A + I_{S^c} has the spectrum
+    # 1 - spec(A + I_S), and the shifts (n - sigma)/n and sigma/n make E(G_S) = E(G_{S^c})
+    def bipartite(g6):
+        return nx.is_bipartite(nx.from_graph6_bytes(g6.encode()))
+
+    small = list(_complement_pairs(scan(SearchConfig(n_max=4))))
+    others = [(r, s) for r, s in small if not bipartite(r.graph6)]
+    small = [(r, s) for r, s in small if bipartite(r.graph6)]
+    five = np.concatenate(list(search._graph_stacks(5, False)))
+    five = five[[nx.is_bipartite(nx.from_numpy_array(a)) for a in five]]
+    order5 = list(_complement_pairs(search._scan_kernel(five, SearchConfig())))
+    assert (len(small), len(five), len(order5), len(others)) == (310, 376, 5640, 164)
+    assert all(_same_energies(r, s) for r, s in small + order5)
+    # teeth: off the bipartite graphs most complementary placements move the energy
+    assert sum(not _same_energies(r, s) for r, s in others) == 149
+
+
+def test_relabelled_records_keep_their_energies_and_class():
+    # a vertex permutation is a similarity of the adjacency matrix, loops included
+    records = list(scan(SearchConfig(n_max=4)))
+    by_key = {(r.graph6, r.loops): r for r in records}
+    checked = 0
+    for r in records:
+        g = from_graph6(r.graph6)
+        for perm in permutations(range(r.n)):
+            s = by_key[to_graph6(relabel(g, perm)), tuple(sorted(perm[i] for i in r.loops))]
+            assert _same_energies(r, s) and s.classification == r.classification
+            checked += 1
+    assert checked == 21800
 
 
 def test_classify_bands():
