@@ -36,7 +36,7 @@ import numpy as np
 from . import search as search_mod
 from .energy import TheoremVerdict, _energy_sum, _shift, check_copy_counts, verify_theorem2
 from .graph6 import Entry, LoopFileParseError, adjacency_stack, read_entries, write_looped_graphs
-from .graphs import Graph, LoopedGraph, _from_matrix, with_loops
+from .graphs import Graph, LoopedGraph, _from_matrix, check_matrix_order, with_loops
 from .search import SearchConfig, fmt10, snap, to_jsonl, to_tsv
 from .spectra import eigenvalues_stack
 
@@ -242,6 +242,7 @@ def _matrix_blocks(lines: Sequence[str]) -> Iterator[list[str]]:
 
 
 def _parse_matrix_block(block: Sequence[str]) -> LoopedGraph:
+    check_matrix_order(len(block))
     rows: list[list[int]] = []
     for i, line in enumerate(block):
         row = []

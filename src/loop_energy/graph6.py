@@ -5,7 +5,7 @@ graph6 cannot express self-loops, so loop sets travel in a sidecar line
 an absent sidecar means no loops. One graph per line; the optional
 ">>graph6<<" header is tolerated on input and never written. The decoder
 rejects orders above graphs.MAX_MATRIX_ORDER at the length bytes, before it
-reads any edge data.
+decodes any edge data.
 
 Input is decoded a stack at a time. read_entries validates a graph6+sidecar
 stream into Entry records (order, edge bytes, loops), and adjacency_stack
@@ -64,76 +64,65 @@ def _outside(s: str, pos: int) -> Graph6ParseError:
     return Graph6ParseError(f"byte {ord(s[pos])} outside graph6 alphabet", pos)
 
 
-def _value(s: str, pos: int) -> int:
-    if pos >= len(s):
-        raise Graph6ParseError("unexpected end of input", len(s))
-    b = ord(s[pos])
-    if b < 63 or b > 126:
-        raise _outside(s, pos)
-    return b - 63
-
-
-def _checked_order(n: int, offset: int) -> int:
-    try:
-        check_matrix_order(n)
-    except ValueError as e:
-        raise Graph6ParseError(str(e), offset) from None
-    return n
-
-
-def _parse_order(s: str, pos: int) -> tuple[int, int]:
-    v = _value(s, pos)
-    if v < 63:
-        return _checked_order(v, pos), pos + 1
-    # 126 -> 18-bit long form; a second 126 selects the 36-bit form, which
-    # to_graph6 never writes
-    if pos + 1 < len(s) and ord(s[pos + 1]) == 126:
-        raise Graph6ParseError(
-            f"36-bit length form: orders above {_MAX_ENCODABLE} are not supported", pos + 1
-        )
-    n = 0
-    for k in range(1, 4):
-        try:
-            n = (n << 6) | _value(s, pos + k)
-        except Graph6ParseError as e:
-            if e.offset >= len(s):
-                raise Graph6ParseError("truncated long-form length", len(s)) from None
-            raise
-    if n < 63:  # canonical graph6 writes these orders in one byte
-        raise Graph6ParseError(f"non-canonical 18-bit length form for order {n}", pos + 1)
-    return _checked_order(n, pos + 1), pos + 4
-
-
 def _decode(s: str) -> tuple[int, str]:
-    """The order and the edge bytes of one graph6 string without its line end."""
+    """The order and the edge bytes of one graph6 string without its line end.
+
+    One alphabet scan finds the first byte outside graph6, or the end of the
+    line; a fault in the length bytes is reported ahead of a later bad byte.
+    """
     pos = len(HEADER) if s.startswith(HEADER) else 0
     if pos >= len(s):
         raise Graph6ParseError("empty graph6 string", pos)
-    n, pos = _parse_order(s, pos)
-    # every byte is checked before the length checks, so an out-of-alphabet
-    # byte is flagged at its own offset
     bad = _OUTSIDE.search(s, pos)
-    if bad:
-        raise _outside(s, bad.start())
-    nbytes = (n * (n - 1) // 2 + 5) // 6
+    end = bad.start() if bad else len(s)
+    if end == pos:
+        raise _outside(s, pos)
+    if s[pos] != "~":
+        n, at, pos = ord(s[pos]) - 63, pos, pos + 1
+    else:
+        # "~" and 3 bytes is the 18-bit length form; "~~" selects the 36-bit
+        # form, which to_graph6 never writes
+        if s[pos + 1:pos + 2] == "~":
+            raise Graph6ParseError(
+                f"36-bit length form: orders above {_MAX_ENCODABLE} are not supported", pos + 1
+            )
+        if end < pos + 4:
+            if end < len(s):
+                raise _outside(s, end)
+            raise Graph6ParseError("truncated long-form length", end)
+        n = 0
+        for c in s[pos + 1:pos + 4]:
+            n = n << 6 | ord(c) - 63
+        if n < 63:  # canonical graph6 writes these orders in one byte
+            raise Graph6ParseError(f"non-canonical 18-bit length form for order {n}", pos + 1)
+        at, pos = pos + 1, pos + 4
+    try:
+        check_matrix_order(n)
+    except ValueError as e:
+        raise Graph6ParseError(str(e), at) from None
+    if end < len(s):
+        raise _outside(s, end)
+    pairs = n * (n - 1) // 2
+    nbytes = (pairs + 5) // 6
     if len(s) - pos < nbytes:
         raise Graph6ParseError(
             f"truncated edge data: need {nbytes} bytes, have {len(s) - pos}", len(s)
         )
     if len(s) - pos > nbytes:
         raise Graph6ParseError("trailing bytes after edge data", pos + nbytes)
+    # the bits past the last pair pad the last byte and must be zero
+    if nbytes and (ord(s[-1]) - 63) & ((1 << 6 * nbytes - pairs) - 1):
+        raise Graph6ParseError("nonzero padding bits after the last pair", len(s) - 1)
     return n, s[pos:]
 
 
 def adjacency_stack(entries: Sequence[Entry]) -> np.ndarray:
     """The float64 (k, n, n) adjacency stack of k entries of one order n: the
     edges from their graph6 bits, the loops on the diagonal."""
-    k, n = len(entries), entries[0].n
-    nbytes = (n * (n - 1) // 2 + 5) // 6
+    k, n, nbytes = len(entries), entries[0].n, len(entries[0].edges)
     groups = np.frombuffer("".join(e.edges for e in entries).encode("ascii"), dtype=np.uint8)
     bits = np.unpackbits((groups - 63).reshape(k, nbytes, 1), axis=2)[:, :, 2:]
-    # bit j(j-1)/2 + i is the pair i < j, the order of np.tril_indices' (j, i);
-    # padding bits past the last pair are ignored
+    # bit j(j-1)/2 + i is the pair i < j, the order of np.tril_indices' (j, i)
     j, i = np.tril_indices(n, -1)
     a = np.zeros((k, n, n))
     a[:, i, j] = a[:, j, i] = bits.reshape(k, 6 * nbytes)[:, :len(i)]

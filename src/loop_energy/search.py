@@ -34,7 +34,7 @@ import numpy as np
 
 from .energy import _energy_sum, _union_verdicts
 from .graph6 import to_graph6_stack
-from .graphs import Graph, _from_matrix
+from .graphs import Graph, _from_matrix, _integer
 from .spectra import _scan_eigvalsh
 
 EQUAL = "EQUAL"
@@ -63,6 +63,8 @@ class SearchConfig:
     connected_only: bool = False
 
     def __post_init__(self):
+        object.__setattr__(self, "n_min", _integer(self.n_min, "n_min"))
+        object.__setattr__(self, "n_max", _integer(self.n_max, "n_max"))
         if self.n_min < 1:
             raise ValueError("n_min must be >= 1")
         if self.n_max < self.n_min:

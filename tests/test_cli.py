@@ -89,7 +89,7 @@ def test_energy_malformed_input(tmp_path, capsys):
     assert "parse error at byte" in err
 
 
-@pytest.mark.parametrize("bad", ["~", "~~?????@", "~??Bw", "L: 1,1,0"])
+@pytest.mark.parametrize("bad", ["~", "~~?????@", "~??Bw", "Bx", "L: 1,1,0"])
 @pytest.mark.parametrize(
     "argv", [["energy"], ["spectrum"], ["verify-thm1"], ["convert", "--to", "matrix"]]
 )
@@ -110,6 +110,17 @@ def test_oversized_graph_rejects_the_whole_input(tmp_path, capsys, monkeypatch, 
     monkeypatch.setattr(graphs, "MAX_MATRIX_ORDER", 3)
     path = write(tmp_path, "g", f"{TRIANGLE}\nC~\n")
     code, out, err = run_cli([*argv, path], capsys=capsys)
+    assert code == 2
+    assert out == ""
+    assert "order 4 exceeds the limit of 3" in err
+
+
+def test_oversized_matrix_rejects_the_whole_input(tmp_path, capsys, monkeypatch):
+    # a 4x4 block stands in for one above 4096; no row of it is parsed
+    monkeypatch.setattr(graphs, "MAX_MATRIX_ORDER", 3)
+    text = "0 1 1\n1 0 1\n1 1 0\n\n" + "0 0 0 0\n" * 4
+    code, out, err = run_cli(["convert", "--to", "graph6", write(tmp_path, "m", text)],
+                             capsys=capsys)
     assert code == 2
     assert out == ""
     assert "order 4 exceeds the limit of 3" in err

@@ -121,6 +121,27 @@ def test_trailing_bytes_rejected():
         from_graph6("Bww")
 
 
+@pytest.mark.parametrize("text, offset, detail", [
+    # a fault in the length bytes is reported ahead of a later bad byte
+    ("~~\x85", 1, "36-bit length form: orders above 258047 are not supported"),
+    ("~??B\x85", 1, "non-canonical 18-bit length form for order 3"),
+    ("~@MG\x85", 1, "order 5000 exceeds the limit of 4096 vertices for a dense adjacency matrix"),
+    ("~?\x85", 2, "byte 133 outside graph6 alphabet"),
+    ("~?", 2, "truncated long-form length"),
+    ("\x85", 0, "byte 133 outside graph6 alphabet"),
+    ("B\x85", 1, "byte 133 outside graph6 alphabet"),
+    ("~?@Bw", 5, "truncated edge data: need 369 bytes, have 1"),
+    # the bits past the last pair pad the last byte with zeros
+    ("Bx", 1, "nonzero padding bits after the last pair"),
+    ("A`", 1, "nonzero padding bits after the last pair"),
+])
+def test_parse_error_message_and_offset(text, offset, detail):
+    with pytest.raises(Graph6ParseError) as exc:
+        from_graph6(text)
+    assert str(exc.value) == f"parse error at byte {offset}: {detail}"
+    assert exc.value.offset == offset
+
+
 def test_read_looped_graphs_with_sidecar():
     entries = list(read_looped_graphs(["Bw", "L: 0,2", "", "A_"]))
     assert len(entries) == 2

@@ -412,6 +412,16 @@ def test_bipartite_graphs_keep_their_energy_under_the_complementary_loop_set():
     assert all(_same_energies(r, s) for r, s in small + order5)
     # teeth: off the bipartite graphs most complementary placements move the energy
     assert sum(not _same_energies(r, s) for r, s in others) == 149
+    # order 6 runs the LAPACK branch of _scan_eigvalsh: every 32nd stack, 1,024 graphs
+    six = np.concatenate(list(islice(search._graph_stacks(6, False), 0, None, 32)))
+    order6 = list(_complement_pairs(search._scan_kernel(six, SearchConfig())))
+    colourable = {g6: bipartite(g6) for g6 in {r.graph6 for r, _ in order6}}
+    others6 = [(r, s) for r, s in order6 if not colourable[r.graph6]]
+    order6 = [(r, s) for r, s in order6 if colourable[r.graph6]]
+    assert (len(six), sum(colourable.values())) == (1024, 511)
+    assert (len(order6), len(others6)) == (15841, 15903)
+    assert all(_same_energies(r, s) for r, s in order6)
+    assert sum(not _same_energies(r, s) for r, s in others6) == 15542
 
 
 def test_relabelled_records_keep_their_energies_and_class():
@@ -448,6 +458,11 @@ def test_config_validation():
             SearchConfig(eq_tol=eq_tol)
     with pytest.raises(ValueError):
         SearchConfig(sigma_policy="some")
+    with pytest.raises(ValueError, match="n_max 4.0 is not an integer"):
+        SearchConfig(n_max=4.0)
+    config = SearchConfig(n_min=True, n_max=np.int64(3))
+    assert (config.n_min, config.n_max) == (1, 3)
+    assert type(config.n_min) is int and type(config.n_max) is int
 
 
 def test_tsv_shape():
