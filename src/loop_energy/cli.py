@@ -10,7 +10,7 @@ command line itself; any error after that is one 'error: ...' line on stderr.
 141 (128 + SIGPIPE) = the reader closed stdout early, as in `| head`; that
 ends the output quietly, with nothing on stderr.
 The verify commands add:
-1 = condition held but the identity gap exceeded tolerance (a pipeline bug),
+1 = condition held but the gap failed search's EQUAL test (a pipeline bug),
 3 = condition failed (informational; both energies are still printed).
 
 OpenBLAS runs one thread unless OPENBLAS_NUM_THREADS is exported: no solve
@@ -168,7 +168,6 @@ def _workers() -> int:
 
 
 def _cmd_search(args) -> int:
-    workers = _workers()
     n_min, n_max = args.n_min, args.n_max
     if args.family == "thm1":
         if args.sigma == "all":
@@ -194,9 +193,9 @@ def _cmd_search(args) -> int:
     else:
         config = replace(config, n_min=n_min, n_max=n_max)
         if args.family == "thm1":
-            records = search_mod.find_theorem_family_instances(config, workers=workers)
+            records = search_mod.find_theorem_family_instances(config)
         else:
-            records = search_mod.scan(config, workers=workers)
+            records = search_mod.scan(config, workers=_workers())
 
     counts = {label: 0 for label in search_mod.CLASSES}
     suspects = 0

@@ -23,14 +23,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .graphs import Graph, LoopedGraph, adjacency_matrix, check_matrix_order
+from .graphs import Graph, LoopedGraph, _integer, adjacency_matrix, check_matrix_order
 from .spectra import Spectrum, eigenvalues, eigenvalues_stack
 
 # slack when testing |lambda| against a condition threshold, so exact-boundary
 # eigenvalues computed in floating point are not misclassified
 CONDITION_TOL = 1e-9
-# relative gap tolerance the identity must meet whenever its condition holds
-IDENTITY_RTOL = 1e-8
+# relative: |gap| <= this * (1 + rhs) is EQUAL, for a verdict and a search record (rhs = e_simple)
+DEFAULT_EQ_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -56,7 +56,7 @@ class TheoremVerdict:
     boundary: bool = False
 
     def gap_within_tolerance(self) -> bool:
-        return self.abs_gap <= IDENTITY_RTOL * (1.0 + self.rhs_energy)
+        return self.abs_gap <= DEFAULT_EQ_TOL * (1.0 + self.rhs_energy)
 
 
 def _energy_sum(values, shift):
@@ -117,6 +117,7 @@ def energy_looped(lg: LoopedGraph) -> EnergyReport:
 
 def check_copy_counts(p: int, q: int) -> int:
     """Validate p plain and q fully-looped copies; returns m = p + q."""
+    p, q = _integer(p, "copy count p"), _integer(q, "copy count q")
     if p < 0 or q < 0:
         raise ValueError("copy counts must be nonnegative")
     if p + q < 1:

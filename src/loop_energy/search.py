@@ -15,16 +15,16 @@ energy._report does. That solver is LAPACK above order 5, as energy_simple and
 energy_looped are at every order, so there each record holds their floats; at
 orders up to 5 it is Jacobi, and each record prints the same bytes as theirs
 (tests/test_cli.py, the scan ids of test_stdout_is_the_same_on_either_backend).
-The thm1 family kernel is energy._union_verdicts(stack, 1, 1),
-the stack form of verify_theorem1, with each verdict turned into a record and
-the union stack it solved encoded as the record's graph6. The
-Graph/LoopedGraph object path stays the reference layer.
+The thm1 family kernel, which runs serially, is energy._union_verdicts(stack,
+1, 1), the stack form of verify_theorem1: each verdict becomes a record, and
+the union it solved the record's graph6. Graph/LoopedGraph stay the reference.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
 from collections import deque
 from dataclasses import dataclass
@@ -32,7 +32,7 @@ from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-from .energy import _energy_sum, _union_verdicts
+from .energy import DEFAULT_EQ_TOL, _energy_sum, _union_verdicts
 from .graph6 import to_graph6_stack
 from .graphs import Graph, _from_matrix, _integer
 from .spectra import _scan_eigvalsh
@@ -44,7 +44,6 @@ CLASSES = (EQUAL, LOOPED_GREATER, SIMPLE_GREATER)
 
 MAX_ORDER = 8          # hard cap: 2^C(n,2) labeled graphs beyond this is out of reach
 DEFAULT_MAX_ORDER = 5  # scans above this should be an explicit, acknowledged choice
-DEFAULT_EQ_TOL = 1e-9  # relative: |gap| <= eq_tol * (1 + e_simple) classifies EQUAL
 SUSPECT_BAND = 1e-6    # non-EQUAL records with |gap| <= this are flagged for exact follow-up
 CHUNK_MAX = 64         # graphs per kernel call: the records in flight stay bounded at any order
 NOISE_RTOL = 1e-12     # relative: a printed value this close to 0 is rounding noise, printed as 0
@@ -71,8 +70,11 @@ class SearchConfig:
             raise ValueError("n_max must be >= n_min")
         if self.n_max > MAX_ORDER:
             raise ValueError(f"n_max exceeds the hard cap {MAX_ORDER}")
-        if not 0 < self.eq_tol < math.inf:  # nan fails both comparisons
-            raise ValueError(f"eq_tol must be finite and positive, got {self.eq_tol}")
+        # nan fails both comparisons
+        if not isinstance(self.eq_tol, numbers.Real) or not 0 < self.eq_tol < math.inf:
+            raise ValueError(f"eq_tol must be finite and positive, got {self.eq_tol!r}")
+        if not isinstance(self.connected_only, bool):
+            raise ValueError(f"connected_only must be a bool, got {self.connected_only!r}")
         if self.sigma_policy not in ("interior", "all"):
             raise ValueError(f"unknown sigma_policy {self.sigma_policy!r}")
 
@@ -189,7 +191,7 @@ def _stream(config: SearchConfig, workers: int, kernel: Kernel) -> Iterator[Sear
     fewer than 4 * workers graphs run serially, the others share one pool of at most
     os.cpu_count() processes, terminated when the stream ends or is closed."""
     cpus = os.cpu_count() or 1
-    workers = cpus if workers is None or workers < 1 else min(workers, cpus)
+    workers = cpus if workers < 1 else min(workers, cpus)
     pool = None
     try:
         for n in range(config.n_min, config.n_max + 1):
@@ -224,12 +226,10 @@ def scan(config: SearchConfig, workers: int = 1) -> Iterator[SearchRecord]:
     chunks are in flight, so memory does not grow with the 2^C(n,2) graphs of
     an order.
     """
-    return _stream(config, workers, _scan_kernel)
+    return _stream(config, _integer(workers, "workers"), _scan_kernel)
 
 
-def find_theorem_family_instances(
-    config: SearchConfig, workers: int = 1
-) -> Iterator[SearchRecord]:
+def find_theorem_family_instances(config: SearchConfig) -> Iterator[SearchRecord]:
     """Restricted scan over unions of a base graph with its fully-looped copy.
 
     Enumerates base graphs G with n in the config range, builds G union G^l
@@ -237,8 +237,8 @@ def find_theorem_family_instances(
     |lambda| >= 1/2 condition held for G. Each record is the verify_theorem1
     verdict of G: e_simple is 2 E(G) from the spectrum of G, and e_looped is
     solved from the union as built. Condition-true records must come out
-    EQUAL; anything else is a defect in the energy pipeline. `workers` is as
-    for scan: the base graphs stream through the same process pool.
+    EQUAL; anything else is a defect in the energy pipeline. The base graphs
+    stream as in a serial scan, drawn as they are needed.
 
     The family fixes the loop set (n loops on 2n vertices), so a config with
     sigma_policy "all" raises ValueError here, before any record is produced.
@@ -248,7 +248,7 @@ def find_theorem_family_instances(
             f"sigma_policy {config.sigma_policy!r} does not apply to the theorem-1 "
             "family: every union carries loops on exactly n of its 2n vertices"
         )
-    return _stream(config, workers, _family_kernel)
+    return _stream(config, 1, _family_kernel)
 
 
 def snap(x: float, scale: float) -> float:

@@ -14,6 +14,7 @@ from loop_energy import (
     Graph,
     enumerate_graphs,
     graphs,
+    search,
     spectra,
     to_graph6,
     with_loops,
@@ -676,3 +677,11 @@ def test_verify_exit_one_signals_identity_violation(capsys):
     assert _print_verdict(verdict) == 1
     out, _ = capsys.readouterr()
     assert "gap 0.1000000000" in out
+    # the rule is the scan's EQUAL test: a gap of 5e-9 * (1 + rhs) fails both
+    gap = 5e-9 * (1 + 8.0)
+    verdict = TheoremVerdict(
+        condition_holds=True, lhs_energy=8.0 + gap, rhs_energy=8.0, abs_gap=gap, witness=None
+    )
+    assert _print_verdict(verdict) == 1
+    record = search._record("EwCW", (3, 4, 5), 6, 8.0, 8.0 + gap, search.DEFAULT_EQ_TOL)
+    assert record.classification != search.EQUAL

@@ -138,6 +138,13 @@ def test_scaled_union_rejects_no_copies():
         verify_theorem2(complete_graph(2), 0, 0)
     with pytest.raises(ValueError):
         verify_theorem2(complete_graph(2), -1, 2)
+    with pytest.raises(ValueError, match="copy count p 1.0 is not an integer"):
+        verify_theorem2(complete_graph(3), 1.0, 1)
+    with pytest.raises(ValueError, match="copy count q '2' is not an integer"):
+        verify_theorem2(complete_graph(3), 1, "2")
+    # numpy integers are integers
+    assert verify_theorem2(complete_graph(3), np.int64(2), 1) == verify_theorem2(
+        complete_graph(3), 2, 1)
 
 
 def test_verify_theorem2_rejects_union_above_order_limit(monkeypatch):
@@ -189,6 +196,9 @@ def test_closed_form_union_energy_matches_pipeline():
 def test_closed_form_union_energy_rejects_no_copies():
     with pytest.raises(ValueError):
         union_family_energy(energy_simple(complete_graph(2)).spectrum, 0, 0)
+    # not a silent 10.0 from 1.5 plain copies
+    with pytest.raises(ValueError, match="copy count p 1.5 is not an integer"):
+        union_family_energy([2, -1, -1], 1.5, 1)
 
 
 @settings(deadline=None)

@@ -37,6 +37,7 @@ from loop_energy import (
     with_loops,
 )
 from loop_energy import energy, search, spectra
+from loop_energy.graph6 import to_graph6_stack
 from loop_energy.search import (
     EQUAL,
     LOOPED_GREATER,
@@ -147,9 +148,8 @@ def test_scan_of_order_six_matches_golden_digest(workers):
 
 @pytest.mark.parametrize(
     "stream, n, workers",
-    [(scan, 5, 1), (scan, 5, 2), (scan, 6, 2),
-     (find_theorem_family_instances, 5, 1), (find_theorem_family_instances, 5, 2)],
-    ids=["5-1", "5-2", "6-2", "family-5-1", "family-5-2"],
+    [(scan, 5, 1), (scan, 5, 2), (scan, 6, 2), (find_theorem_family_instances, 5, None)],
+    ids=["5-1", "5-2", "6-2", "family-5-1"],
 )
 def test_scan_draws_graphs_as_it_needs_them(monkeypatch, stream, n, workers):
     g = next(enumerate_graphs(n))
@@ -162,7 +162,9 @@ def test_scan_draws_graphs_as_it_needs_them(monkeypatch, stream, n, workers):
             yield a
 
     monkeypatch.setattr(search, "_graph_stacks", counting)
-    records = stream(SearchConfig(n_min=n, n_max=n), workers=workers)
+    config = SearchConfig(n_min=n, n_max=n)
+    # the family takes no worker count: it streams serially
+    records = stream(config) if workers is None else stream(config, workers=workers)
     first = next(records)
     start = time.perf_counter()
     records.close()
@@ -220,7 +222,7 @@ def test_scan_builds_no_graph_objects(monkeypatch, workers):
     graphs_of = {n: 2 ** (n * (n - 1) // 2) for n in range(1, 5)}
     assert len(list(scan(config, workers=workers))) == sum(
         k * (2**n - 2) for n, k in graphs_of.items())
-    assert len(list(find_theorem_family_instances(config, workers=workers))) == sum(
+    assert len(list(find_theorem_family_instances(config))) == sum(
         graphs_of.values())
     with pytest.raises(AssertionError, match="scan path"):  # the patch does take effect
         next(enumerate_graphs(1))
@@ -239,17 +241,22 @@ def test_scan_connected_only_keeps_the_connected_records(workers):
     assert {r.graph6 for r in kept} != {r.graph6 for r in every}
 
 
-@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("size", [1, 2])
 @pytest.mark.parametrize(
     "render, digest",
     [(to_jsonl, "24ce849e0afdd871"), (lambda records: to_tsv(records, True), "98457e81f84d6d78")],
     ids=["jsonl", "tsv"],
 )
-def test_family_to_union_order_eight_matches_golden_digest(render, digest, workers):
+def test_family_to_union_order_eight_matches_golden_digest(monkeypatch, render, digest, size):
     # sha256 of `search --family thm1 --n-min 2 --n-max 8` stdout; the unions of
     # order 6 and 8 go to LAPACK, and rounding noise prints as 0, so Jacobi
-    # prints the same bytes (test_stdout_is_the_same_on_either_backend)
-    records = find_theorem_family_instances(SearchConfig(n_min=1, n_max=4), workers=workers)
+    # prints the same bytes (test_stdout_is_the_same_on_either_backend). The
+    # bases are drawn in stacks of `size`, not CHUNK_MAX: the bytes do not
+    # depend on how many bases one kernel call solves
+    stacks = search._graph_stacks
+    monkeypatch.setattr(search, "_graph_stacks",
+                        lambda n, connected_only, _=search.CHUNK_MAX: stacks(n, connected_only, size))
+    records = find_theorem_family_instances(SearchConfig(n_min=1, n_max=4))
     text = "".join(line + "\n" for line in render(records))
     assert hashlib.sha256(text.encode("ascii")).hexdigest().startswith(digest)
 
@@ -438,6 +445,24 @@ def test_relabelled_records_keep_their_energies_and_class():
     assert checked == 21800
 
 
+def test_relabelled_order_six_records_keep_their_energies_and_class():
+    # order 6 runs the LAPACK branch of _scan_eigvalsh: every 32nd stack, 1,024
+    # graphs, each solved again with its vertices relabeled by one seeded permutation
+    perm = np.random.default_rng(6).permutation(6)
+    six = np.concatenate(list(islice(search._graph_stacks(6, False), 0, None, 32)))
+    inverse = np.argsort(perm)
+    moved = six[:, inverse][:, :, inverse]  # vertex i of a graph becomes vertex perm[i]
+    image = dict(zip(to_graph6_stack(six), to_graph6_stack(moved)))
+    by_key = {(r.graph6, r.loops): r for r in search._scan_kernel(moved, SearchConfig())}
+    records = search._scan_kernel(six, SearchConfig())
+    for r in records:
+        s = by_key[image[r.graph6], tuple(sorted(int(perm[i]) for i in r.loops))]
+        assert _same_energies(r, s) and s.classification == r.classification
+    assert (len(records), len(by_key)) == (1024 * 62, 1024 * 62)
+    # teeth: the permutation moves most graphs and loop sets
+    assert sum(g != h for g, h in image.items()) == 1022
+
+
 def test_classify_bands():
     assert _classify(1.0, 1.0, 1e-9) == (EQUAL, False, 0.0)
     label, suspect, gap = _classify(1.0, 1.0 + 5e-7, 1e-9)
@@ -463,6 +488,18 @@ def test_config_validation():
     config = SearchConfig(n_min=True, n_max=np.int64(3))
     assert (config.n_min, config.n_max) == (1, 3)
     assert type(config.n_min) is int and type(config.n_max) is int
+    with pytest.raises(ValueError, match="eq_tol must be finite and positive, got 'x'"):
+        SearchConfig(eq_tol="x")
+    with pytest.raises(ValueError, match="connected_only must be a bool, got 'yes'"):
+        SearchConfig(connected_only="yes")
+    assert SearchConfig(eq_tol=np.float64(1e-6), connected_only=True).connected_only is True
+
+
+@pytest.mark.parametrize("workers", ["2", 2.0, None])
+def test_scan_worker_count_must_be_an_integer(workers):
+    # raised at the call, before any stack is drawn
+    with pytest.raises(ValueError, match=f"workers {workers!r} is not an integer"):
+        scan(SearchConfig(n_max=2), workers=workers)
 
 
 def test_tsv_shape():

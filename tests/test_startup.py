@@ -46,7 +46,8 @@ def test_cli_process_starts_no_blas_worker():
 
 
 def test_commands_without_a_pool_import_no_multiprocessing(tmp_path):
-    # only a scan that starts a pool imports it: not energy, not a 1-worker family scan
+    # only a labeled scan that starts a pool imports it: not energy, and not the
+    # family scan, which runs serially at any LOOP_ENERGY_THREADS
     empty = tmp_path / "empty"
     empty.write_text("")
     code = f"""
@@ -57,7 +58,8 @@ with contextlib.redirect_stdout(io.StringIO()):
     assert cli.main(["search", "--family", "thm1", "--n-max", "6"]) == 0
 print("multiprocessing" in sys.modules)
 """
-    assert fresh(code, LOOP_ENERGY_THREADS="1") == "False"
+    for threads in ("1", "2"):
+        assert fresh(code, LOOP_ENERGY_THREADS=threads) == "False", threads
 
 
 def test_lazy_names_are_the_submodules_objects():
