@@ -10,7 +10,8 @@ command line itself; any error after that is one 'error: ...' line on stderr.
 141 (128 + SIGPIPE) = the reader closed stdout early, as in `| head`; that
 ends the output quietly, with nothing on stderr.
 The verify commands add:
-1 = condition held but the gap failed search's EQUAL test (a pipeline bug),
+1 = condition held but the gap failed the EQUAL rule that classifies every
+    search record, |gap| <= 1e-9 * (1 + rhs) (a pipeline bug),
 3 = condition failed (informational; both energies are still printed).
 
 OpenBLAS runs one thread unless OPENBLAS_NUM_THREADS is exported: no solve
@@ -28,7 +29,6 @@ import argparse
 import math
 import re
 import sys
-from dataclasses import replace
 from typing import Callable, Generator, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -185,13 +185,10 @@ def _cmd_search(args) -> int:
             f"scanning graphs of order {n_max} visits 2^C({n_max},2) graphs "
             f"(2^28 at order 8); pass --force-large to acknowledge the runtime"
         )
-    # built on every path, so an empty family range still checks every flag
-    config = SearchConfig(sigma_policy=args.sigma, eq_tol=args.eq_tol,
-                          connected_only=args.connected)
     if args.family == "thm1" and n_min > n_max:  # no even union order in range
         records: Generator[search_mod.SearchRecord, None, None] = (r for r in ())
     else:
-        config = replace(config, n_min=n_min, n_max=n_max)
+        config = SearchConfig(n_min, n_max, args.sigma, args.connected)
         if args.family == "thm1":
             records = search_mod.find_theorem_family_instances(config)
         else:
@@ -322,8 +319,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_search.add_argument("--n-max", type=int, default=search_mod.DEFAULT_MAX_ORDER)
     p_search.add_argument("--sigma", choices=("interior", "all"), default="interior")
     p_search.add_argument("--connected", action="store_true", help="connected graphs only")
-    p_search.add_argument("--eq-tol", type=float, default=search_mod.DEFAULT_EQ_TOL,
-                          help="relative equality tolerance factor")
     p_search.add_argument("--format", choices=("tsv", "jsonl"), default="tsv")
     p_search.add_argument("--family", choices=("thm1",),
                           help="restrict to unions of G with its fully-looped copy; "

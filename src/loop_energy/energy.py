@@ -29,8 +29,13 @@ from .spectra import Spectrum, eigenvalues, eigenvalues_stack
 # slack when testing |lambda| against a condition threshold, so exact-boundary
 # eigenvalues computed in floating point are not misclassified
 CONDITION_TOL = 1e-9
-# relative: |gap| <= this * (1 + rhs) is EQUAL, for a verdict and a search record (rhs = e_simple)
-DEFAULT_EQ_TOL = 1e-9
+# relative EQUAL tolerance (_equal); fixed, so no setting changes a class
+EQ_TOL = 1e-9
+
+
+def _equal(gap: float, rhs: float) -> bool:
+    """The one EQUAL rule, for every verdict and every search record (rhs = e_simple)."""
+    return abs(gap) <= EQ_TOL * (1.0 + rhs)
 
 
 @dataclass(frozen=True)
@@ -56,7 +61,7 @@ class TheoremVerdict:
     boundary: bool = False
 
     def gap_within_tolerance(self) -> bool:
-        return self.abs_gap <= DEFAULT_EQ_TOL * (1.0 + self.rhs_energy)
+        return _equal(self.abs_gap, self.rhs_energy)
 
 
 def _energy_sum(values, shift):
@@ -115,14 +120,14 @@ def energy_looped(lg: LoopedGraph) -> EnergyReport:
     return _report(lg.n, lg.sigma, eigenvalues(adjacency_matrix(lg)))
 
 
-def check_copy_counts(p: int, q: int) -> int:
-    """Validate p plain and q fully-looped copies; returns m = p + q."""
+def check_copy_counts(p: int, q: int) -> tuple[int, int]:
+    """Validate p plain and q fully-looped copies; returns them as plain ints."""
     p, q = _integer(p, "copy count p"), _integer(q, "copy count q")
     if p < 0 or q < 0:
         raise ValueError("copy counts must be nonnegative")
     if p + q < 1:
         raise ValueError("need at least one copy (p + q >= 1)")
-    return p + q
+    return p, q
 
 
 def verify_theorem1(g: Graph) -> TheoremVerdict:
@@ -143,7 +148,7 @@ def verify_theorem2(g: Graph, p: int, q: int) -> TheoremVerdict:
     the left side. A union above MAX_MATRIX_ORDER raises ValueError before any
     copy is built.
     """
-    check_copy_counts(p, q)
+    p, q = check_copy_counts(p, q)
     check_matrix_order((p + q) * g.n)
     return _union_verdicts(adjacency_matrix(g).data[np.newaxis], p, q)[1][0]
 
@@ -180,5 +185,6 @@ def union_family_energy(base_spectrum: Spectrum | Sequence[float], p: int, q: in
     its energy is sum_i p|lambda_i - q/m| + q|lambda_i + p/m|. Kept separate
     from the verifiers as an independent cross-check route.
     """
-    m = check_copy_counts(p, q)
+    p, q = check_copy_counts(p, q)
+    m = p + q
     return float(sum(p * abs(v - q / m) + q * abs(v + p / m) for v in base_spectrum))

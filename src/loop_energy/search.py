@@ -23,8 +23,6 @@ the union it solved the record's graph6. Graph/LoopedGraph stay the reference.
 from __future__ import annotations
 
 import json
-import math
-import numbers
 import os
 from collections import deque
 from dataclasses import dataclass
@@ -32,7 +30,7 @@ from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
-from .energy import DEFAULT_EQ_TOL, _energy_sum, _union_verdicts
+from .energy import _energy_sum, _equal, _union_verdicts
 from .graph6 import to_graph6_stack
 from .graphs import Graph, _from_matrix, _integer
 from .spectra import _scan_eigvalsh
@@ -53,12 +51,11 @@ TSV_COLUMNS = ("graph6", "loops", "sigma", "n", "e_simple", "e_looped", "gap", "
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Scan parameters. eq_tol is a relative tolerance factor (finite, > 0)."""
+    """Scan parameters. No setting changes a record's class: EQUAL is energy._equal."""
 
     n_min: int = 1
     n_max: int = DEFAULT_MAX_ORDER
     sigma_policy: str = "interior"  # "interior" (0 < sigma < n) or "all"
-    eq_tol: float = DEFAULT_EQ_TOL
     connected_only: bool = False
 
     def __post_init__(self):
@@ -70,9 +67,6 @@ class SearchConfig:
             raise ValueError("n_max must be >= n_min")
         if self.n_max > MAX_ORDER:
             raise ValueError(f"n_max exceeds the hard cap {MAX_ORDER}")
-        # nan fails both comparisons
-        if not isinstance(self.eq_tol, numbers.Real) or not 0 < self.eq_tol < math.inf:
-            raise ValueError(f"eq_tol must be finite and positive, got {self.eq_tol!r}")
         if not isinstance(self.connected_only, bool):
             raise ValueError(f"connected_only must be a bool, got {self.connected_only!r}")
         if self.sigma_policy not in ("interior", "all"):
@@ -137,9 +131,9 @@ def enumerate_graphs(n: int, connected_only: bool = False) -> Iterator[Graph]:
         yield from map(_from_matrix, a)
 
 
-def _classify(e_simple: float, e_looped: float, eq_tol: float) -> tuple[str, bool, float]:
+def _classify(e_simple: float, e_looped: float) -> tuple[str, bool, float]:
     gap = e_looped - e_simple
-    if abs(gap) <= eq_tol * (1.0 + e_simple):
+    if _equal(gap, e_simple):
         return EQUAL, False, gap
     label = LOOPED_GREATER if gap > 0 else SIMPLE_GREATER
     return label, abs(gap) <= SUSPECT_BAND, gap
@@ -152,8 +146,8 @@ def _loop_masks(n: int, sigma_policy: str) -> range:
 
 
 def _record(graph6: str, loops: tuple, n: int, e_simple: float, e_looped: float,
-            eq_tol: float, condition_met: bool | None = None) -> SearchRecord:
-    label, suspect, gap = _classify(e_simple, e_looped, eq_tol)
+            condition_met: bool | None = None) -> SearchRecord:
+    label, suspect, gap = _classify(e_simple, e_looped)
     return SearchRecord(graph6, loops, len(loops), n, e_simple, e_looped, gap, label,
                         suspect, condition_met)
 
@@ -171,7 +165,7 @@ def _scan_kernel(a: np.ndarray, config: SearchConfig) -> list[SearchRecord]:
     e_simple = _energy_sum(_scan_eigvalsh(a).T, 0.0).tolist()
     shifts = np.tile(diagonals.sum(axis=1) / n, len(a))
     e_looped = _energy_sum(_scan_eigvalsh(looped).T, shifts).reshape(len(a), len(masks))
-    return [_record(g6, loops, n, e, e_l, config.eq_tol)
+    return [_record(g6, loops, n, e, e_l)
             for g6, e, row in zip(to_graph6_stack(a), e_simple, e_looped.tolist())
             for loops, e_l in zip(loop_sets, row)]
 
@@ -181,8 +175,7 @@ def _family_kernel(a: np.ndarray, config: SearchConfig) -> list[SearchRecord]:
     n = a.shape[1]
     loops = tuple(range(n, 2 * n))
     union, verdicts = _union_verdicts(a, 1, 1)
-    return [_record(g6, loops, 2 * n, v.rhs_energy, v.lhs_energy, config.eq_tol,
-                    condition_met=v.condition_holds)
+    return [_record(g6, loops, 2 * n, v.rhs_energy, v.lhs_energy, v.condition_holds)
             for g6, v in zip(to_graph6_stack(union), verdicts)]
 
 

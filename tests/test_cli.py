@@ -143,14 +143,10 @@ def test_order_above_limit_is_rejected_at_its_length_bytes(tmp_path, capsys):
         (None, ["search", "--family", "thm1", "--sigma", "all"]),
         (None, ["search", "--family", "thm1", "--n-min", "3", "--n-max", "3", "--sigma", "all"]),
         (None, ["search", "--n-min", "0"]),
-        (None, ["search", "--eq-tol", "inf"]),
-        (None, ["search", "--family", "thm1", "--n-min", "3", "--n-max", "3", "--eq-tol", "nan"]),
-        (None, ["search", "--family", "thm1", "--n-min", "3", "--n-max", "3", "--eq-tol", "-1"]),
         ("lots", ["search", "--n-max", "2"]),
         (None, ["verify-thm2", "-p", "0", "-q", "0", "TRIANGLE_FILE"]),
     ],
-    ids=["large-scan", "family-sigma-all", "empty-family-sigma-all", "n-min-0", "eq-tol-inf",
-         "empty-family-eq-tol-nan", "empty-family-eq-tol-negative", "threads-lots",
+    ids=["large-scan", "family-sigma-all", "empty-family-sigma-all", "n-min-0", "threads-lots",
          "verify-no-copies"],
 )
 def test_errors_inside_a_command_print_one_line(tmp_path, capsys, monkeypatch, threads, argv):
@@ -167,6 +163,14 @@ def test_errors_inside_a_command_print_one_line(tmp_path, capsys, monkeypatch, t
     assert out == ""
     assert len(err.splitlines()) == 1
     assert err.startswith("error: ")
+
+
+def test_search_has_no_tolerance_flag(capsys):
+    # the EQUAL rule is fixed, so no run can print a class another run would not
+    code, out, err = run_cli(["search", "--eq-tol", "1e-9", "--n-max", "2"], capsys=capsys)
+    assert code == 2
+    assert out == ""
+    assert "unrecognized arguments: --eq-tol" in err
 
 
 @pytest.mark.parametrize(
@@ -683,5 +687,5 @@ def test_verify_exit_one_signals_identity_violation(capsys):
         condition_holds=True, lhs_energy=8.0 + gap, rhs_energy=8.0, abs_gap=gap, witness=None
     )
     assert _print_verdict(verdict) == 1
-    record = search._record("EwCW", (3, 4, 5), 6, 8.0, 8.0 + gap, search.DEFAULT_EQ_TOL)
+    record = search._record("EwCW", (3, 4, 5), 6, 8.0, 8.0 + gap)
     assert record.classification != search.EQUAL

@@ -142,9 +142,10 @@ def test_scaled_union_rejects_no_copies():
         verify_theorem2(complete_graph(3), 1.0, 1)
     with pytest.raises(ValueError, match="copy count q '2' is not an integer"):
         verify_theorem2(complete_graph(3), 1, "2")
-    # numpy integers are integers
-    assert verify_theorem2(complete_graph(3), np.int64(2), 1) == verify_theorem2(
-        complete_graph(3), 2, 1)
+    # numpy integers are integers, converted once: no numpy scalar reaches the verdict
+    v = verify_theorem2(complete_graph(3), np.int64(2), np.int32(1))
+    assert v == verify_theorem2(complete_graph(3), 2, 1)
+    assert {type(x) for x in (v.lhs_energy, v.rhs_energy, v.abs_gap)} == {float}
 
 
 def test_verify_theorem2_rejects_union_above_order_limit(monkeypatch):

@@ -372,8 +372,7 @@ def test_scan_kernel_records_match_the_object_path(chunk, sigma_policy):
                 loops = tuple(i for i in range(g.n) if (mask >> i) & 1)
                 if sigma_policy == "all" or 0 < len(loops) < g.n:
                     e_looped = energy_looped(with_loops(g, loops)).energy
-                    expected.append(search._record(to_graph6(g), loops, g.n, e_simple,
-                                                   e_looped, config.eq_tol))
+                    expected.append(search._record(to_graph6(g), loops, g.n, e_simple, e_looped))
     assert search._scan_kernel(stack, config) == expected
 
 
@@ -464,11 +463,27 @@ def test_relabelled_order_six_records_keep_their_energies_and_class():
 
 
 def test_classify_bands():
-    assert _classify(1.0, 1.0, 1e-9) == (EQUAL, False, 0.0)
-    label, suspect, gap = _classify(1.0, 1.0 + 5e-7, 1e-9)
+    assert _classify(1.0, 1.0) == (EQUAL, False, 0.0)
+    label, suspect, gap = _classify(1.0, 1.0 + 5e-7)
     assert label == LOOPED_GREATER and suspect and abs(gap - 5e-7) < 1e-12
-    label, suspect, _ = _classify(1.0, 1.0 - 5e-3, 1e-9)
+    label, suspect, _ = _classify(1.0, 1.0 - 5e-3)
     assert label == SIMPLE_GREATER and not suspect
+    # the exact boundary, shared with TheoremVerdict.gap_within_tolerance
+    e = 8.0
+    bound = energy.EQ_TOL * (1 + e)
+    # a verdict stores |gap| as given: the bound itself passes, the next float fails
+    verdicts = [energy.TheoremVerdict(True, e + gap, e, gap, None)
+                for gap in (bound, math.nextafter(bound, 1.0))]
+    assert [v.gap_within_tolerance() for v in verdicts] == [True, False]
+    # a record's gap is e_looped - e on the float grid near e (e + bound itself
+    # rounds): on each side the last float within the bound is EQUAL, the next is not
+    for sign, unequal in ((1, LOOPED_GREATER), (-1, SIMPLE_GREATER)):
+        inside = e + sign * bound
+        while abs(inside - e) > bound:
+            inside = math.nextafter(inside, e)
+        outside = math.nextafter(inside, sign * math.inf)
+        assert _classify(e, inside) == (EQUAL, False, inside - e)
+        assert _classify(e, outside) == (unequal, True, outside - e)
 
 
 def test_config_validation():
@@ -478,9 +493,6 @@ def test_config_validation():
         SearchConfig(n_min=3, n_max=2)
     with pytest.raises(ValueError):
         SearchConfig(n_min=1, n_max=9)
-    for eq_tol in (0.0, float("nan"), float("inf")):
-        with pytest.raises(ValueError, match="eq_tol"):
-            SearchConfig(eq_tol=eq_tol)
     with pytest.raises(ValueError):
         SearchConfig(sigma_policy="some")
     with pytest.raises(ValueError, match="n_max 4.0 is not an integer"):
@@ -488,11 +500,12 @@ def test_config_validation():
     config = SearchConfig(n_min=True, n_max=np.int64(3))
     assert (config.n_min, config.n_max) == (1, 3)
     assert type(config.n_min) is int and type(config.n_max) is int
-    with pytest.raises(ValueError, match="eq_tol must be finite and positive, got 'x'"):
-        SearchConfig(eq_tol="x")
     with pytest.raises(ValueError, match="connected_only must be a bool, got 'yes'"):
         SearchConfig(connected_only="yes")
-    assert SearchConfig(eq_tol=np.float64(1e-6), connected_only=True).connected_only is True
+    assert SearchConfig(connected_only=True).connected_only is True
+    # the EQUAL rule is fixed: no config field sets a tolerance
+    with pytest.raises(TypeError):
+        SearchConfig(eq_tol=1e-9)
 
 
 @pytest.mark.parametrize("workers", ["2", 2.0, None])
