@@ -1,9 +1,10 @@
 """Command-line front end.
 
-stdout carries only machine-readable payload; summaries and diagnostics go
-to stderr, so the commands compose in pipelines. Numbers are printed with a
-'.' decimal separator and a fixed 10 significant digits; a gap, witness or
-eigenvalue that is rounding noise around 0 prints as 0 (search.snap).
+Every command runs on adjacency stacks and builds no Graph. stdout carries
+only machine-readable payload; summaries and diagnostics go to stderr, so
+the commands compose in pipelines. Numbers are printed with a '.' decimal
+separator and a fixed 10 significant digits; a gap, witness or eigenvalue
+that is rounding noise around 0 prints as 0 (search.snap).
 
 Exit codes: 0 success; 2 parse or usage error. argparse reports a malformed
 command line itself; any error after that is one 'error: ...' line on stderr.
@@ -34,9 +35,10 @@ from typing import Callable, Generator, Iterable, Iterator, Sequence
 import numpy as np
 
 from . import search as search_mod
-from .energy import TheoremVerdict, _energy_sum, _shift, check_copy_counts, verify_theorem2
-from .graph6 import Entry, LoopFileParseError, adjacency_stack, read_entries, write_looped_graphs
-from .graphs import Graph, LoopedGraph, _from_matrix, check_matrix_order, with_loops
+from .energy import TheoremVerdict, _energy_sum, _shift, _union_verdicts, check_copy_counts
+from .graph6 import (Entry, LoopFileParseError, _lines, adjacency_stack, read_entries,
+                     to_graph6_stack)
+from .graphs import check_matrix_order
 from .search import SearchConfig, fmt10, snap, to_jsonl, to_tsv
 from .spectra import eigenvalues_stack
 
@@ -62,15 +64,6 @@ def _read_lines(path: str) -> list[str]:
 def _read_entries(path: str) -> list[Entry]:
     # validated in full before anything is printed: a bad line rejects the input
     return list(read_entries(_read_lines(path)))
-
-
-def _single_simple_graph(path: str) -> Graph:
-    entries = _read_entries(path)
-    if len(entries) != 1:
-        raise LoopFileParseError(1, f"expected exactly one graph, found {len(entries)}")
-    if entries[0].loops:
-        raise LoopFileParseError(1, "loop sidecar not allowed here; give the base graph only")
-    return _from_matrix(adjacency_stack(entries)[0])
 
 
 def _blocks(entries: Sequence[Entry]) -> Iterator[list[Entry]]:
@@ -153,7 +146,12 @@ def _print_verdict(verdict: TheoremVerdict) -> int:
 
 def _cmd_verify(args) -> int:
     check_copy_counts(args.p, args.q)  # before the input is read
-    return _print_verdict(verify_theorem2(_single_simple_graph(args.input), args.p, args.q))
+    entries = _read_entries(args.input)
+    if len(entries) != 1:
+        raise LoopFileParseError(1, f"expected exactly one graph, found {len(entries)}")
+    if entries[0].loops:
+        raise LoopFileParseError(1, "loop sidecar not allowed here; give the base graph only")
+    return _print_verdict(_union_verdicts(adjacency_stack(entries), args.p, args.q)[1][0])
 
 
 def _workers() -> int:
@@ -237,7 +235,8 @@ def _matrix_blocks(lines: Sequence[str]) -> Iterator[list[str]]:
         yield block
 
 
-def _parse_matrix_block(block: Sequence[str]) -> LoopedGraph:
+def _graph6_lines(block: Sequence[str]) -> list[str]:
+    # the graph6+sidecar lines of a 0/1 matrix text block, encoded as a stack of one
     check_matrix_order(len(block))
     rows: list[list[int]] = []
     for i, line in enumerate(block):
@@ -256,7 +255,7 @@ def _parse_matrix_block(block: Sequence[str]) -> LoopedGraph:
     if len(asymmetric):
         i, j = asymmetric[0]
         raise ValueError(f"asymmetric at ({i},{j})")
-    return with_loops(_from_matrix(a), np.flatnonzero(a.diagonal()).tolist())
+    return _lines(to_graph6_stack(a[np.newaxis])[0], np.flatnonzero(a.diagonal()).tolist())
 
 
 def _cmd_convert(args) -> int:
@@ -268,9 +267,8 @@ def _cmd_convert(args) -> int:
             for row in rows:
                 print(" ".join(map(str, row)))
         return 0
-    entries = [_parse_matrix_block(block) for block in _matrix_blocks(_read_lines(args.input))]
-    for line in write_looped_graphs(entries):
-        print(line)
+    encoded = [_graph6_lines(block) for block in _matrix_blocks(_read_lines(args.input))]
+    sys.stdout.writelines(line + "\n" for lines in encoded for line in lines)
     return 0
 
 

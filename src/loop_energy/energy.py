@@ -10,10 +10,10 @@ base graph G (m = p + q, sigma = q*n):
 
 with the p = q = 1 special case requiring only |lambda| >= 1/2. Both are
 sufficient conditions; when they fail the verdict still reports both energies
-and the gap instead of refusing. Verdicts are computed a stack of base graphs
-at a time by _union_verdicts; verify_theorem2 is its one-row call, and the
-thm1 family scan (search) calls it as _union_verdicts(stack, 1, 1) and
-encodes the union stack it returns.
+and the gap instead of refusing. _union_verdicts checks p, q and the union's
+order, then gives the verdicts of a stack of base graphs: verify-* call it on
+the decoded (1, n, n) stack, verify_theorem2 on its graph's one-row stack, and
+the thm1 family scan (search) as _union_verdicts(stack, 1, 1).
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .graphs import Graph, LoopedGraph, _integer, adjacency_matrix, check_matrix_order
 from .spectra import Spectrum, eigenvalues, eigenvalues_stack
@@ -148,8 +149,6 @@ def verify_theorem2(g: Graph, p: int, q: int) -> TheoremVerdict:
     the left side. A union above MAX_MATRIX_ORDER raises ValueError before any
     copy is built.
     """
-    p, q = check_copy_counts(p, q)
-    check_matrix_order((p + q) * g.n)
     return _union_verdicts(adjacency_matrix(g).data[np.newaxis], p, q)[1][0]
 
 
@@ -158,15 +157,19 @@ def _union_stack(a: np.ndarray, p: int, q: int) -> np.ndarray:
     stack, as a block-diagonal (k, m*n, m*n) float64 stack, m = p + q."""
     k, n, _ = a.shape
     union = np.zeros((k, (p + q) * n, (p + q) * n))
-    for c in range(p + q):
-        union[:, c * n:(c + 1) * n, c * n:(c + 1) * n] = a + (c >= p) * np.eye(n)
+    s0, s1, s2 = union.strides  # the m diagonal blocks as one (k, m, n, n) view, empty at n = 0
+    blocks = as_strided(union, (k, p + q, n, n), (s0, n * (s1 + s2), s1, s2))
+    blocks[:] = a[:, np.newaxis]
+    blocks[:, p:] += np.eye(n)
     return union
 
 
 def _union_verdicts(a: np.ndarray, p: int, q: int) -> tuple[np.ndarray, list[TheoremVerdict]]:
     """The union stack of a (k, n, n) base stack and the verify_theorem2 verdict of
-    each base matrix: the base stack and the union stack are each solved in one call."""
+    each base matrix, each stack in one solve; p, q and the union's order are checked first."""
+    p, q = check_copy_counts(p, q)
     n, m = a.shape[1], p + q
+    check_matrix_order(m * n)
     shift = _shift(m * n, q * n)
     union = _union_stack(a, p, q)
     verdicts = []

@@ -10,11 +10,12 @@ decodes any edge data.
 Input is decoded a stack at a time. read_entries validates a graph6+sidecar
 stream into Entry records (order, edge bytes, loops), and adjacency_stack
 scatters the edge bits of entries of one order into a (k, n, n) stack, the
-inverse of to_graph6_stack. The object API is a view of these two:
-from_graph6 is their one-row call, and read_looped_graphs builds each
+inverse of to_graph6_stack; _lines writes a graph6 line and its sidecar for
+the commands and write_looped_graphs alike. The object API is a view of
+these: from_graph6 is their one-row call, and read_looped_graphs builds each
 entry's LoopedGraph from its one-row stack, so every check lives in
-read_entries and the helpers it calls. Only ASCII whitespace is trimmed, so
-any other byte, such as 0xA0, is reported where it stands.
+read_entries and its helpers. Only ASCII whitespace is trimmed, so any
+other byte, such as 0xA0, is reported where it stands.
 """
 
 from __future__ import annotations
@@ -227,9 +228,12 @@ def read_looped_graphs(lines: Iterable[str]) -> Iterator[LoopedGraph]:
 def write_looped_graphs(graphs: Iterable[LoopedGraph]) -> Iterator[str]:
     """Render looped graphs as graph6+sidecar lines (no trailing newlines)."""
     for lg in graphs:
-        yield to_graph6(lg.base)
-        if lg.loops:
-            yield "L: " + ",".join(str(i) for i in sorted(lg.loops))
+        yield from _lines(to_graph6(lg.base), lg.loops)
+
+
+def _lines(graph6: str, loops: Iterable[int]) -> list[str]:
+    """A graph6 line, then the "L:" sidecar of its loops if it has any."""
+    return [graph6] + (["L: " + ",".join(str(i) for i in sorted(loops))] if loops else [])
 
 
 def to_graph6_stack(a: np.ndarray) -> list[str]:

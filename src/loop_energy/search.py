@@ -26,6 +26,7 @@ import json
 import os
 from collections import deque
 from dataclasses import dataclass
+from itertools import cycle
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
@@ -179,13 +180,45 @@ def _family_kernel(a: np.ndarray, config: SearchConfig) -> list[SearchRecord]:
             for g6, v in zip(to_graph6_stack(union), verdicts)]
 
 
+def _serve(conn, kernel: Kernel, config: SearchConfig) -> None:
+    # a pool process: the records of each stack it receives, or the exception raised
+    while True:
+        a = conn.recv()
+        try:
+            conn.send(kernel(a, config))
+        except Exception as exc:
+            conn.send(exc)
+
+
+def _start_pool(pool: list, workers: int, kernel: Kernel, config: SearchConfig) -> None:
+    # appends (process, connection) pairs: each process serves a pipe of its own
+    import multiprocessing  # here: a process without a pool never loads it
+    for _ in range(workers):
+        conn, child = multiprocessing.Pipe()
+        proc = multiprocessing.Process(target=_serve, args=(child, kernel, config), daemon=True)
+        proc.start()
+        child.close()
+        pool.append((proc, conn))
+
+
+def _received(conn) -> list[SearchRecord]:
+    out = conn.recv()
+    if isinstance(out, Exception):
+        raise out
+    return out
+
+
 def _stream(config: SearchConfig, workers: int, kernel: Kernel) -> Iterator[SearchRecord]:
     """kernel(stack, config) for every graph stack, in enumeration order; orders with
     fewer than 4 * workers graphs run serially, the others share one pool of at most
-    os.cpu_count() processes, terminated when the stream ends or is closed."""
+    os.cpu_count() processes, killed when the stream ends or is closed. Stacks go to
+    the processes in turn, at most two in flight on each. No lock or queue is shared,
+    so a process killed mid-write stalls nothing (multiprocessing.Pool.terminate()
+    could hang there), and a stack (at most 33 kB at MAX_ORDER) fits a pipe's buffer,
+    so a send never waits on a process that is itself waiting to send."""
     cpus = os.cpu_count() or 1
     workers = cpus if workers < 1 else min(workers, cpus)
-    pool = None
+    pool: list = []
     try:
         for n in range(config.n_min, config.n_max + 1):
             total = 1 << (n * (n - 1) // 2)
@@ -193,21 +226,24 @@ def _stream(config: SearchConfig, workers: int, kernel: Kernel) -> Iterator[Sear
                 for a in _graph_stacks(n, config.connected_only):
                     yield from kernel(a, config)
                 continue
-            if pool is None:
-                from multiprocessing import Pool  # here: a process without a pool never loads it
-                pool = Pool(workers)
+            if not pool:
+                _start_pool(pool, workers, kernel, config)
             pending = deque()
-            for a in _graph_stacks(n, config.connected_only,
-                                   max(1, min(CHUNK_MAX, total // (workers * 8)))):
-                pending.append(pool.apply_async(kernel, (a, config)))
+            stacks = _graph_stacks(n, config.connected_only,
+                                   max(1, min(CHUNK_MAX, total // (workers * 8))))
+            for a, (_, conn) in zip(stacks, cycle(pool)):
+                conn.send(a)
+                pending.append(conn)
                 if len(pending) == 2 * workers:
-                    yield from pending.popleft().get()
+                    yield from _received(pending.popleft())
             while pending:
-                yield from pending.popleft().get()
+                yield from _received(pending.popleft())
     finally:
-        if pool is not None:
-            # a closed stream may leave stacks queued or running: stop the workers now
-            pool.terminate()
+        # a closed stream may leave stacks queued or running: stop the workers now
+        for proc, conn in pool:
+            proc.kill()
+            proc.join()
+            conn.close()
 
 
 def scan(config: SearchConfig, workers: int = 1) -> Iterator[SearchRecord]:

@@ -12,6 +12,7 @@ import pytest
 
 from loop_energy import (
     Graph,
+    LoopedGraph,
     enumerate_graphs,
     graphs,
     search,
@@ -256,9 +257,50 @@ def test_verify_thm2_rejects_union_above_order_limit(tmp_path, capsys):
 
 def test_verify_rejects_sidecar_input(tmp_path, capsys):
     path = write(tmp_path, "g", TRIANGLE + "\nL: 0\n")
-    code, _, err = run_cli(["verify-thm1", path], capsys=capsys)
-    assert code == 2
-    assert "base graph" in err
+    for argv in (["verify-thm1"], ["verify-thm2", "-p", "2", "-q", "1"]):
+        code, out, err = run_cli([*argv, path], capsys=capsys)
+        assert (code, out) == (2, "")
+        assert err == ("error: line 1: loop sidecar not allowed here; "
+                       "give the base graph only\n")
+
+
+def test_order_zero_union_is_built_at_once():
+    # no step per copy: 10^12 + 1 copies of the order-0 graph print what one pair does
+    argv = [sys.executable, "-m", "loop_energy", "verify-thm2", "-q", "1", "-p"]
+    big, one = (subprocess.run([*argv, p], input="?\n", capture_output=True, text=True,
+                               timeout=30) for p in (str(10**12), "1"))
+    assert (big.returncode, big.stdout, big.stderr) == (0, one.stdout, "")
+    assert one.stdout.startswith("condition true\n")
+
+
+@pytest.mark.parametrize(
+    "argv, stdin_text",
+    [
+        (["energy"], f"{TRIANGLE}\nL: 0,2\n?\n{EXAMPLE_UNION}\nL: 3,4,5\n"),
+        (["spectrum"], f"{TRIANGLE}\nL: 0,2\n?\n{EXAMPLE_UNION}\nL: 3,4,5\n"),
+        (["verify-thm1"], TRIANGLE + "\n"),
+        (["verify-thm2", "-p", "2", "-q", "1"], "Ck\n"),
+        (["convert", "--to", "matrix"], f"{EXAMPLE_UNION}\nL: 3,4,5\n{THREE_PATH}\n"),
+        (["convert", "--to", "graph6"], "\n".join(EXAMPLE_MATRIX) + "\n\n0 1\n1 1\n"),
+        (["search", "--n-max", "3"], None),
+        (["search", "--family", "thm1", "--n-max", "6"], None),
+    ],
+    ids=["energy", "spectrum", "verify-thm1", "verify-thm2", "to-matrix", "to-graph6",
+         "search", "family"],
+)
+def test_no_command_builds_the_object_layer(monkeypatch, capsys, argv, stdin_text):
+    # every command runs on adjacency stacks: with Graph, LoopedGraph and
+    # SymmetricMatrix refusing to be built, each prints what it prints unpatched
+    monkeypatch.setenv("LOOP_ENERGY_THREADS", "1")
+    expected = run_cli(argv, stdin_text, monkeypatch, capsys)
+    assert expected[0] in (0, 3) and expected[1]
+
+    def refuse(self):
+        raise AssertionError(f"{type(self).__name__} built")
+
+    for cls in (Graph, LoopedGraph, spectra.SymmetricMatrix):
+        monkeypatch.setattr(cls, "__post_init__", refuse)
+    assert run_cli(argv, stdin_text, monkeypatch, capsys) == expected
 
 
 def test_search_record_count_and_summary(tmp_path, capsys):
@@ -370,19 +412,19 @@ def test_search_connected_all_sigma_matches_golden_digest(monkeypatch, capsys):
 def test_search_starts_one_pool_per_scan(monkeypatch, capsys):
     # orders 3, 4 and 5 all go through the pool at 2 workers; it is started once
     started = []
-    pool = multiprocessing.Pool
+    start = multiprocessing.Process.start
 
-    def counting_pool(processes):
-        started.append(processes)
-        return pool(processes)
+    def counting_start(self):
+        started.append(self)
+        start(self)
 
-    monkeypatch.setattr(multiprocessing, "Pool", counting_pool)
+    monkeypatch.setattr(multiprocessing.Process, "start", counting_start)
     monkeypatch.setenv("LOOP_ENERGY_THREADS", "2")
     code, out, err = run_cli(["search", "--n-max", "5"], capsys=capsys)
     assert code == 0
     assert hashlib.sha256(out.encode("ascii")).hexdigest().startswith("f55f583cb87ff0d0")
     assert err.startswith("records=31668 ")
-    assert started == [2]
+    assert len(started) == 2
 
 
 def _seeded_looped_graphs(tmp_path):

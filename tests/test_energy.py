@@ -153,9 +153,15 @@ def test_verify_theorem2_rejects_union_above_order_limit(monkeypatch):
     def no_union(a, p, q):
         raise AssertionError("union built before the order check")
 
-    monkeypatch.setattr(energy, "_union_verdicts", no_union)
+    monkeypatch.setattr(energy, "_union_stack", no_union)
     with pytest.raises(ValueError, match="4096"):
         verify_theorem2(complete_graph(2), 2049, 0)
+
+
+def test_order_zero_union_takes_no_step_per_copy():
+    # 10^12 copies of the empty graph are the empty graph, built in one step
+    assert verify_theorem2(empty_graph(0), 10**12, 1) == verify_theorem2(empty_graph(0), 1, 1)
+    assert energy._union_stack(np.zeros((3, 0, 0)), 10**12, 10**12).shape == (3, 0, 0)
 
 
 def test_verify_theorem2_is_the_object_union_composition():

@@ -1,21 +1,25 @@
-"""`energy`, `spectrum` and `convert --to matrix`: stdout and input errors.
+"""`energy`, `spectrum`, `convert` and `verify-thm2`: stdout and input errors.
 
 These commands decode their input into adjacency stacks and solve a block of
 entries at a time; the object API (read_looped_graphs, energy_looped,
-adjacency_matrix) one graph at a time is the reference they must match.
+adjacency_matrix, write_looped_graphs, verify_theorem2) one graph at a time
+is the reference they must match.
 """
 
 import hashlib
 import io
+import itertools
 import random
 
 import pytest
 
 from helpers import file_command_stdout
-from loop_energy import Graph, cli, to_graph6
-from loop_energy.cli import main
+from loop_energy import (Graph, cli, read_looped_graphs, to_graph6, verify_theorem2,
+                         write_looped_graphs)
+from loop_energy.cli import _print_verdict, main
 
 COMMANDS = {"energy": ["energy"], "spectrum": ["spectrum"], "matrix": ["convert", "--to", "matrix"]}
+PQ = [(1, 1), (2, 1), (1, 2), (3, 1), (0, 3)]  # the copy counts verify-thm2 is checked at
 
 
 def run(argv, capsys):
@@ -67,11 +71,30 @@ def scale_input(lines: int, seed: int) -> str:
 
 
 @pytest.mark.parametrize("seed", [1, 2])
-@pytest.mark.parametrize("command", COMMANDS)
-def test_output_matches_the_object_path(tmp_path, capsys, command, seed):
+@pytest.mark.parametrize("command", [*COMMANDS, "graph6", "verify-thm2"])
+def test_output_matches_the_object_path(tmp_path, monkeypatch, capsys, command, seed):
     text = mixed_input(seed)
     path = tmp_path / "g"
     path.write_bytes(text.encode("ascii"))
+    graphs = list(read_looped_graphs(text.splitlines()))
+    if command == "verify-thm2":
+        # each base graph alone, against the verdict of the object reference
+        for g, (p, q) in itertools.product([lg.base for lg in graphs], PQ):
+            stdin = io.BytesIO(f"{to_graph6(g)}\n".encode("ascii"))
+            monkeypatch.setattr("sys.stdin", io.TextIOWrapper(stdin))
+            code, out, err = run(["verify-thm2", "-p", str(p), "-q", str(q)], capsys)
+            assert (code, out, err) == (_print_verdict(verify_theorem2(g, p, q)),
+                                        *capsys.readouterr())
+        return
+    if command == "graph6":
+        # through matrix text and back; an order-0 graph has no matrix text
+        _, matrix_text, _ = run([*COMMANDS["matrix"], str(path)], capsys)
+        path.write_text(matrix_text)
+        code, out, err = run(["convert", "--to", "graph6", str(path)], capsys)
+        assert (code, err) == (0, "")
+        assert out == "".join(f"{line}\n" for line in write_looped_graphs(
+            lg for lg in graphs if lg.n))
+        return
     code, out, err = run([*COMMANDS[command], str(path)], capsys)
     assert (code, err) == (0, "")
     assert out == file_command_stdout(command, text)

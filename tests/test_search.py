@@ -2,10 +2,11 @@ import hashlib
 import json
 import math
 import multiprocessing
+import operator
 import os
 import time
+from collections import deque
 from itertools import combinations, islice, permutations
-from types import SimpleNamespace
 from unittest import mock
 
 import networkx as nx
@@ -186,25 +187,54 @@ def test_closing_a_pooled_scan_stops_its_workers(monkeypatch):
     assert multiprocessing.active_children() == []
 
 
+def test_a_pooled_kernel_error_reaches_the_caller(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    with pytest.raises(TypeError, match="unsupported operand"):
+        list(search._stream(SearchConfig(n_min=4, n_max=4), 2, operator.truediv))
+    assert multiprocessing.active_children() == []
+
+
+def test_a_killed_worker_ends_the_stream_instead_of_stalling_it(monkeypatch):
+    # each worker has a pipe of its own: one killed mid-write holds no lock the
+    # others or the stream need, so the stream raises and stops the rest
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    records = scan(SearchConfig(n_min=6, n_max=6), workers=2)
+    next(records)
+    multiprocessing.active_children()[0].kill()
+    with pytest.raises((EOFError, OSError)):
+        list(records)
+    assert multiprocessing.active_children() == []
+
+
 @pytest.mark.parametrize("workers", [0, 1000])
 def test_worker_count_is_capped_at_the_cpu_count(monkeypatch, workers):
     # an in-process pool records the size it is asked for, so that a broken cap
     # starts no process at all
     sizes = []
 
-    class RecordingPool:
-        def __init__(self, processes):
-            sizes.append(processes)
+    class InProcess:
+        # a process and its pipe in one: send runs the kernel, recv returns its records
+        def __init__(self, kernel, config):
+            self.run = lambda a: kernel(a, config)
+            self.out = deque()
 
-        def apply_async(self, fn, args):
-            records = fn(*args)
-            return SimpleNamespace(get=lambda: records)
+        def send(self, a):
+            self.out.append(self.run(a))
 
-        def terminate(self):
+        def recv(self):
+            return self.out.popleft()
+
+        def kill(self):
             pass
 
+        join = close = kill
+
+    def recording_pool(pool, processes, kernel, config):
+        sizes.append(processes)
+        pool.extend((p, p) for p in (InProcess(kernel, config) for _ in range(processes)))
+
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
-    monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
+    monkeypatch.setattr(search, "_start_pool", recording_pool)
     config = SearchConfig(n_max=4)
     assert list(scan(config, workers=workers)) == list(scan(config))
     assert sizes == [3]
